@@ -16,63 +16,15 @@ pre-kernel implementation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..kernel.search import (
     find_homomorphism as _kernel_find,
     homomorphisms as _kernel_homomorphisms,
-    is_mappable as _is_mappable,
 )
 from .atoms import Atom
 from .instance import Instance
 from .terms import Term
-
-
-def _order_atoms(atoms: Sequence[Atom], bound: Iterable[Term]) -> List[Atom]:
-    """Greedy join order: repeatedly pick the atom with fewest unbound terms.
-
-    Ties are broken deterministically by the atom's string form; the string
-    keys are computed once up front rather than inside every ``min`` key
-    evaluation.
-    """
-    strs = {a: str(a) for a in atoms}
-    remaining = sorted(atoms, key=strs.__getitem__)
-    bound_terms = set(bound)
-    ordered: List[Atom] = []
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda a: (
-                sum(1 for t in set(a.args) if _is_mappable(t) and t not in bound_terms),
-                strs[a],
-            ),
-        )
-        remaining.remove(best)
-        ordered.append(best)
-        bound_terms.update(t for t in best.args if _is_mappable(t))
-    return ordered
-
-
-def _match_atom(
-    source: Atom, target: Atom, assignment: Dict[Term, Term]
-) -> Optional[Dict[Term, Term]]:
-    """Try to extend *assignment* so that source maps onto target.
-
-    Returns the extension (a new dict) or None if the atoms clash.
-    """
-    if source.predicate != target.predicate or source.arity != target.arity:
-        return None
-    extension = dict(assignment)
-    for s, t in zip(source.args, target.args):
-        if _is_mappable(s):
-            current = extension.get(s)
-            if current is None:
-                extension[s] = t
-            elif current != t:
-                return None
-        elif s != t:
-            return None
-    return extension
 
 
 def homomorphisms(

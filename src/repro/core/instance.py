@@ -262,8 +262,27 @@ def _term_sort_key(t: Term) -> Tuple:
     return (2, str(t))  # variables / wrapper tokens used by iso search
 
 
+#: The name prefix of frozen variables: ``x`` freezes to the constant ``c_x``.
+FREEZE_PREFIX = "c_"
+
+
+def freezing(
+    atoms: Iterable[Atom], prefix: str = FREEZE_PREFIX
+) -> Dict[Variable, Constant]:
+    """The freezing map ``c`` of Proposition 10's proof, on *atoms*.
+
+    Every variable ``x`` maps to the constant named ``prefix + x.name``.
+    """
+    return {
+        t: Constant(f"{prefix}{t.name}")
+        for a in atoms
+        for t in a.args
+        if isinstance(t, Variable)
+    }
+
+
 def freeze_atoms(
-    atoms: Iterable[Atom], prefix: str = "c_"
+    atoms: Iterable[Atom], prefix: str = FREEZE_PREFIX
 ) -> Tuple[Instance, Dict[Variable, Constant]]:
     """Freeze a set of atoms with variables into a canonical database.
 
@@ -271,11 +290,6 @@ def freeze_atoms(
     ``prefix + x.name``); constants stay put.  Returns the database and the
     variable→constant mapping (the ``c`` of Proposition 10's proof).
     """
-    mapping: Dict[Variable, Constant] = {}
-    frozen: List[Atom] = []
-    for a in atoms:
-        for t in a.args:
-            if isinstance(t, Variable) and t not in mapping:
-                mapping[t] = Constant(f"{prefix}{t.name}")
-        frozen.append(a.substitute(mapping))
-    return Instance.of(frozen), mapping
+    atoms = tuple(atoms)
+    mapping = freezing(atoms, prefix)
+    return Instance.of(a.substitute(mapping) for a in atoms), mapping

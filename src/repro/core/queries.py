@@ -26,9 +26,11 @@ from typing import (
     Tuple,
 )
 
-from ..kernel.search import compiled_search
+from ..kernel.instance import trusted_instance
+from ..kernel.metrics import KERNEL_METRICS
+from ..kernel.search import atom_str, compiled_search
 from .atoms import Atom, variables_of_atoms
-from .instance import Instance, freeze_atoms
+from .instance import Instance, freeze_atoms, freezing
 from .schema import Schema
 from .terms import Constant, Term, Variable
 
@@ -280,26 +282,10 @@ class CQ:
         Greedily drops body atoms while the remaining query still entails
         the dropped ones (checked Chandra–Merlin-style on the canonical
         database).  The result is the classical core, unique up to
-        isomorphism, and equivalent to the original query.
+        isomorphism, and equivalent to the original query.  See
+        :func:`core_and_checks` for the procedure.
         """
-        body = list(dict.fromkeys(self.body))
-        changed = True
-        while changed:
-            changed = False
-            for a in sorted(body, key=str):
-                candidate_body = [b for b in body if b != a]
-                if not candidate_body and self.free_variables():
-                    continue
-                try:
-                    candidate = CQ(self.head, tuple(candidate_body), self.name)
-                except QueryError:
-                    continue  # dropping `a` would make the head unsafe
-                db, canonical = candidate.canonical_database()
-                if self.holds_in(db, canonical):
-                    body = candidate_body
-                    changed = True
-                    break
-        return CQ(self.head, tuple(sorted(body, key=str)), self.name)
+        return core_and_checks(self)[0]
 
     # -- comparison -------------------------------------------------------
 
@@ -335,12 +321,7 @@ class CQ:
 
         This is the ``≃`` relation that XRewrite uses for deduplication.
         """
-        if self.arity != other.arity or len(self.body) != len(other.body):
-            return False
-        return (
-            _injective_match(self, other) is not None
-            and _injective_match(other, self) is not None
-        )
+        return IsoKey(self).isomorphic_to(IsoKey(other))
 
     def __str__(self) -> str:
         head = ", ".join(str(t) for t in self.head)
@@ -351,25 +332,80 @@ class CQ:
         return f"CQ(head={self.head!r}, body={self.body!r})"
 
 
-def _injective_match(left: CQ, right: CQ) -> Optional[Dict[Term, Term]]:
+class IsoKey:
+    """A CQ prepared for repeated isomorphism tests.
+
+    Holds, each built on first use, the query's :meth:`CQ.signature` and
+    the ground target that injective matches *into* the query search (its
+    body with every variable wrapped as an opaque token).  A caller that
+    compares one query against many keeps one key per query for as long
+    as it needs them (XRewrite: one run); nothing is cached on the CQ.
+    """
+
+    __slots__ = ("query", "_signature", "_target")
+
+    def __init__(self, query: CQ) -> None:
+        self.query = query
+        self._signature: Optional[Tuple] = None
+        self._target: Optional[Instance] = None
+
+    @property
+    def signature(self) -> Tuple:
+        if self._signature is None:
+            self._signature = self.query.signature()
+        return self._signature
+
+    @property
+    def target(self) -> Instance:
+        if self._target is None:
+            tokens = {v: _VarToken(v) for v in self.query.variables()}
+            self._target = Instance.of(
+                a.substitute(tokens) for a in self.query.body
+            )
+        return self._target
+
+    def isomorphic_to(self, other: "IsoKey") -> bool:
+        """``self.query.is_isomorphic_to(other.query)``.
+
+        That needs an injective match each way.  The way back is known to
+        exist, and is not searched, when the way there renames variables
+        to variables and neither body repeats an atom: such a match maps
+        the atoms one-to-one onto the other body's, so its inverse is a
+        match back.
+        """
+        left, right = self.query, other.query
+        if left.arity != right.arity or len(left.body) != len(right.body):
+            return False
+        match = _injective_match(left, other)
+        if match is None:
+            return False
+        if (
+            all(
+                isinstance(s, Variable) and isinstance(t, Variable)
+                for s, t in match.items()
+            )
+            and len(set(left.body)) == len(left.body)
+            and len(set(right.body)) == len(right.body)
+        ):
+            return True
+        return _injective_match(right, self) is not None
+
+
+def _injective_match(left: CQ, right: IsoKey) -> Optional[Dict[Term, Term]]:
     """An injective body hom left→right respecting head positions, or None."""
     fixed: Dict[Term, Term] = {}
-    for s, t in zip(left.head, right.head):
+    for s, t in zip(left.head, right.query.head):
         if isinstance(s, Variable):
             if fixed.get(s, t) != t:
                 return None
             fixed[s] = t
         elif s != t:
             return None
-    target = Instance.of(
-        a.substitute({v: _VarToken(v) for v in right.variables()})
-        for a in right.body
-    )
     wrapped_fixed = {
         s: (_VarToken(t) if isinstance(t, Variable) else t)
         for s, t in fixed.items()
     }
-    for h in compiled_search(left.body).search(target, wrapped_fixed):
+    for h in compiled_search(left.body).search(right.target, wrapped_fixed):
         values = [v for v in h.values()]
         if len(set(values)) == len(values):
             return {k: _unwrap(v) for k, v in h.items()}
@@ -385,6 +421,85 @@ class _VarToken:
 
 def _unwrap(t: Term) -> Term:
     return t.var if isinstance(t, _VarToken) else t
+
+
+def core_and_checks(query: CQ) -> Tuple[CQ, int]:
+    """``query.core()`` and the number of hom checks it ran.
+
+    One sweep over the distinct body atoms in string order drops each atom
+    *a* for which the query still maps into the canonical database of the
+    atoms kept so far minus *a*, head variables fixed to their frozen
+    images.  This is the greedy loop that restarts from the first atom
+    after every drop, minus two kinds of check whose outcome is known:
+
+    * an atom with no *compatible image* among the other kept atoms is not
+      checked.  The hom must send *a* to some frozen atom, so that atom
+      needs *a*'s predicate and arity, *a*'s constant or frozen head
+      variable at each such position, and one value at all positions of
+      each other term of *a*.  Images are compared as frozen terms, so a
+      constant spelled like a frozen variable (``c_x`` next to ``x``)
+      counts as the check itself counts it;
+    * an atom found non-droppable is never checked again: the canonical
+      database of fewer atoms is a sub-instance of that of more, so a hom
+      into the smaller is also one into the larger.  The restart's re-scan
+      of earlier atoms therefore drops nothing, and one sweep suffices.
+
+    Dropped atoms, the kept atoms and their order, head and name are
+    those of the greedy loop.  The checks are added to the
+    ``kernel.core.hom_checks`` counter.
+    """
+    kept = sorted(dict.fromkeys(query.body), key=atom_str)
+    mapping = freezing(kept)
+    frozen = {a: a.substitute(mapping) for a in kept}
+    fixed: Dict[Term, Term] = {
+        t: mapping[t] for t in query.head if isinstance(t, Variable)
+    }
+    by_predicate: Dict[Tuple[str, int], List[Atom]] = {}
+    for a in kept:
+        by_predicate.setdefault((a.predicate, a.arity), []).append(a)
+    alive = set(kept)
+    search = compiled_search(query.body)
+    checks = 0
+    for a in tuple(kept):
+        if not any(
+            b != a and b in alive and _compatible_image(a, frozen[b], fixed)
+            for b in by_predicate[(a.predicate, a.arity)]
+        ):
+            continue
+        rest = [b for b in kept if b != a]
+        if not fixed.keys() <= variables_of_atoms(rest):
+            continue  # dropping `a` would make the head unsafe
+        # query.holds_in(canonical database of rest, canonical answer)
+        checks += 1
+        db = trusted_instance(frozen[b] for b in rest)
+        if search.find(db, fixed) is not None:
+            kept = rest
+            alive.discard(a)
+    if checks:
+        _CORE_CHECKS.inc(checks)
+    return CQ(query.head, tuple(kept), query.name), checks
+
+
+def _compatible_image(a: Atom, image: Atom, fixed: Mapping[Term, Term]) -> bool:
+    """Whether a hom fixing *fixed* (and constants) can send *a* to *image*.
+
+    *image* is a frozen atom of *a*'s predicate and arity.
+    """
+    bound: Dict[Term, Term] = {}
+    for t, u in zip(a.args, image.args):
+        if isinstance(t, Constant):
+            if t != u:
+                return False
+        elif t in fixed:
+            if fixed[t] != u:
+                return False
+        elif bound.setdefault(t, u) != u:
+            return False
+    return True
+
+
+#: Hom checks run by :func:`core_and_checks` (see kernel/metrics.py).
+_CORE_CHECKS = KERNEL_METRICS.counter("kernel.core.hom_checks")
 
 
 @dataclass(frozen=True)
@@ -451,11 +566,12 @@ class UCQ:
     def deduplicate(self) -> "UCQ":
         """Drop disjuncts isomorphic to an earlier one (signature-bucketed)."""
         kept: List[CQ] = []
-        buckets: Dict[Tuple, List[CQ]] = {}
+        buckets: Dict[Tuple, List[IsoKey]] = {}
         for d in self.disjuncts:
-            bucket = buckets.setdefault(d.signature(), [])
-            if not any(d.is_isomorphic_to(k) for k in bucket):
-                bucket.append(d)
+            key = IsoKey(d)
+            bucket = buckets.setdefault(key.signature, [])
+            if not any(key.isomorphic_to(k) for k in bucket):
+                bucket.append(key)
                 kept.append(d)
         return UCQ(tuple(kept), self.name)
 

@@ -22,7 +22,12 @@ Counter names:
 * ``kernel.cardinality.<predicate>`` — facts materialized per predicate by
   completed delta chases (flushed once per run, capped name space);
 * ``kernel.witness_search.databases`` — candidate databases scanned by the
-  guarded bounded-witness layer.
+  guarded bounded-witness layer;
+* ``kernel.xrewrite.seconds`` — wall time of XRewrite runs (a timer);
+* ``kernel.xrewrite.candidates`` / ``kernel.xrewrite.duplicates`` —
+  queries XRewrite's steps built, and those it discarded as isomorphic to
+  an earlier query (before or after core minimization);
+* ``kernel.core.hom_checks`` — hom checks run by ``CQ.core()``.
 
 :func:`kernel_snapshot` additionally reports the live sizes of the
 kernel's caches (``kernel.cache.*.size``, ``kernel.intern.*``) so

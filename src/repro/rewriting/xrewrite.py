@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
+from ..core.instance import FREEZE_PREFIX
 from ..core.omq import OMQ
-from ..core.queries import CQ, UCQ
-from ..core.terms import Constant, Term, Variable
+from ..core.queries import CQ, UCQ, IsoKey, core_and_checks
+from ..core.terms import Constant, Null, Term, Variable
 from ..core.tgd import TGD, normalize_single_head
 from ..kernel import KERNEL_METRICS, atom_str
 from .. import obs
@@ -70,6 +71,11 @@ class RewritingStats:
     queries_generated: int = 1  # the input query
     queries_final: int = 0
 
+    def add(self, other: "RewritingStats") -> None:
+        """Add every field of *other* (runs over the disjuncts of a union)."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 @dataclass
 class RewritingResult:
@@ -92,20 +98,33 @@ class _Entry:
 
 
 class _SeenIndex:
-    """Signature-bucketed isomorphism dedup for generated queries."""
+    """Signature-bucketed isomorphism dedup over one XRewrite run.
+
+    Each stored query keeps its :class:`IsoKey` for the run's length, so
+    its signature and match target are built once, not per comparison.
+    """
 
     def __init__(self) -> None:
-        self._buckets: Dict[Tuple, List[_Entry]] = {}
+        self._buckets: Dict[Tuple, List[Tuple[str, IsoKey]]] = {}
 
-    def add(self, entry: _Entry) -> None:
-        self._buckets.setdefault(entry.query.signature(), []).append(entry)
+    def add(self, key: IsoKey, label: str) -> None:
+        self._buckets.setdefault(key.signature, []).append((label, key))
 
-    def seen(self, candidate: CQ, labels: Tuple[str, ...]) -> bool:
-        bucket = self._buckets.get(candidate.signature(), ())
+    def seen(self, key: IsoKey, labels: Tuple[str, ...]) -> bool:
         return any(
-            e.label in labels and candidate.is_isomorphic_to(e.query)
-            for e in bucket
+            label in labels and key.isomorphic_to(stored)
+            for label, stored in self._buckets.get(key.signature, ())
         )
+
+
+#: The stored labels a candidate of each kind is checked against: a
+#: rewriting-step query is new unless an ``r`` query matches it; a
+#: factorization output is dropped if any query matches it.
+_CHECKED_AGAINST = {"r": ("r",), "f": ("r", "f")}
+
+
+class _OutOfBudget(Exception):
+    """A new query would exceed the query or atom budget."""
 
 
 def _existential_positions(rule: TGD) -> Tuple[int, ...]:
@@ -119,7 +138,7 @@ def _existential_positions(rule: TGD) -> Tuple[int, ...]:
 
 
 def _applicable(
-    query: CQ, subset: Sequence[Atom], rule: TGD
+    query: CQ, subset: Sequence[Atom], rule: TGD, ex_positions: Tuple[int, ...]
 ) -> Optional[Dict[Term, Term]]:
     """Definition 6 (generalized): the MGU if the rule applies to *subset*.
 
@@ -135,7 +154,6 @@ def _applicable(
     must resolve the query atom R(x, x).)
     """
     head = rule.head[0]
-    ex_positions = _existential_positions(rule)
     existential_of: Dict[int, Variable] = {
         p: head.args[p] for p in ex_positions  # type: ignore[misc]
     }
@@ -185,13 +203,10 @@ def _applicable(
 
 
 def _factorizable(
-    query: CQ, subset: Sequence[Atom], rule: TGD
+    query: CQ, subset: Sequence[Atom], rule: TGD, ex_positions: Tuple[int, ...]
 ) -> Optional[Dict[Term, Term]]:
     """Definition 7: the MGU of *subset* if factorizable w.r.t. *rule*."""
     if len(subset) < 2:
-        return None
-    ex_positions = set(_existential_positions(rule))
-    if not ex_positions:
         return None
     head = rule.head[0]
     if any(a.predicate != head.predicate or a.arity != head.arity for a in subset):
@@ -205,9 +220,10 @@ def _factorizable(
         *(a.variables() for a in subset)
     ) - rest_vars
     witness = None
+    existential = set(ex_positions)
     for x in sorted(candidates, key=lambda v: v.name):
         if all(
-            set(a.positions_of(x)) <= ex_positions and a.positions_of(x)
+            set(a.positions_of(x)) <= existential and a.positions_of(x)
             for a in subset
         ):
             witness = x
@@ -229,36 +245,47 @@ def _factorizable(
 _CORE_SIZE_LIMIT = 24
 
 
-def _apply_to_query(
-    query: CQ,
-    sub: Dict[Term, Term],
-    new_body: Sequence[Atom],
-    name: str,
-    minimize: bool = True,
+def _candidate(
+    query: CQ, sub: Dict[Term, Term], new_body: Sequence[Atom], name: str
 ) -> CQ:
+    """The query a step builds: *new_body* and the head under *sub*."""
     head = tuple(
         sub.get(t, t) if isinstance(t, Variable) else t for t in query.head
     )
     # atom_str is the kernel's memoized str(a): generated queries re-sort
     # the same (value-equal) atoms thousands of times across candidates.
     body = tuple(sorted({a.substitute(sub) for a in new_body}, key=atom_str))
-    candidate = CQ(head, body, name)
-    # Core-minimize generated queries — [40]'s "query elimination"
-    # optimization.  Without it, recursive sticky sets accumulate
-    # homomorphically redundant atoms (fresh once-occurring variables) and
-    # the exhaustive rewriting diverges even though the minimized rewriting
-    # is finite.  Replacing a disjunct by its core preserves equivalence.
-    if minimize and len(body) <= _CORE_SIZE_LIMIT:
-        candidate = candidate.core()
-    return candidate
+    return CQ(head, body, name)
 
 
-def _predicate_subsets(query: CQ, predicate: str, arity: int, max_size: int):
-    """Non-empty subsets of body atoms over *predicate* (deterministic order)."""
-    atoms = sorted(
+def _cores_are_exact(query: CQ, rules: Sequence[TGD]) -> bool:
+    """Whether ``CQ.core()`` returns a true core for every query of a run.
+
+    Its hom checks freeze each variable ``x`` to the constant ``c_x``.
+    With no null and no constant of that spelling, freezing is injective
+    and keeps variables apart from constants, so each check is the
+    Chandra–Merlin test and the greedy result is a core, unique up to
+    isomorphism.  Candidates only carry terms of the query and the rules.
+    """
+    atoms = list(query.body) + [a for r in rules for a in r.body + r.head]
+    terms = list(query.head) + [t for a in atoms for t in a.args]
+    return not any(
+        isinstance(t, Null)
+        or (isinstance(t, Constant) and t.name.startswith(FREEZE_PREFIX))
+        for t in terms
+    )
+
+
+def _atoms_over(query: CQ, predicate: str, arity: int) -> List[Atom]:
+    """The distinct body atoms over *predicate*, in deterministic order."""
+    return sorted(
         (a for a in set(query.body) if a.predicate == predicate and a.arity == arity),
         key=atom_str,
     )
+
+
+def _subsets(atoms: Sequence[Atom], max_size: int):
+    """Non-empty subsets of *atoms* up to *max_size*, smallest first."""
     for size in range(1, min(len(atoms), max_size) + 1):
         yield from itertools.combinations(atoms, size)
 
@@ -284,18 +311,38 @@ def xrewrite_cq(
     generated query sizes) — ontologies whose rewritings grow unboundedly
     (e.g. recursive Datalog) hit the atom budget quickly instead of
     thrashing on ever-longer queries.
+
+    Besides ``kernel.xrewrite.seconds``, a run adds to the kernel counters
+    ``kernel.xrewrite.candidates`` (queries built by a step) and
+    ``kernel.xrewrite.duplicates`` (those discarded as isomorphic to an
+    earlier one); its ``rewrite.xrewrite`` span carries both, and the
+    hom checks its core minimizations ran, as attributes.
     """
-    rules = normalize_single_head(list(sigma))
+    rules = [
+        (rule, _existential_positions(rule))
+        for rule in normalize_single_head(list(sigma))
+    ]
     stats = RewritingStats(budget=max_queries, atom_budget=max_total_atoms)
     stats.total_atoms = len(query.body)
-    start = query
-    entries: List[_Entry] = [_Entry(start, "r")]
+    start = _Entry(query, "r")
+    entries: List[_Entry] = [start]
     counter = itertools.count(1)
+    # The stored queries (after minimization).
     index = _SeenIndex()
-    index.add(entries[0])
-    seen = index.seen
+    index.add(IsoKey(query), "r")
+    # The candidates as built (before minimization).  Isomorphic queries
+    # have isomorphic cores, so a candidate isomorphic to an earlier one
+    # that its labels accept would be discarded after minimization anyway:
+    # the earlier one was stored, or matched a stored query.  That skips
+    # its core() and its second check.  Exact only while cores are.
+    built = (
+        _SeenIndex()
+        if minimize and _cores_are_exact(query, [r for r, _ in rules])
+        else None
+    )
+    counts = {"candidates": 0, "duplicates": 0, "core_hom_checks": 0}
 
-    frontier = deque([entries[0]])
+    frontier = deque([start])
     run_span = obs.span(
         "rewrite.xrewrite", query=query.name, rules=len(rules)
     )
@@ -312,12 +359,58 @@ def xrewrite_cq(
                 frontier=len(frontier),
             )
 
+    def admit(
+        q: CQ, sub: Dict[Term, Term], new_body: Sequence[Atom], label: str
+    ) -> None:
+        """Store and queue a step's query unless a stored one matches it."""
+        counts["candidates"] += 1
+        candidate = _candidate(q, sub, new_body, f"{query.name}_{label}")
+        labels = _CHECKED_AGAINST[label]
+        key = IsoKey(candidate)
+        # Core-minimize generated queries — [40]'s "query elimination"
+        # optimization.  Without it, recursive sticky sets accumulate
+        # homomorphically redundant atoms (fresh once-occurring variables)
+        # and the exhaustive rewriting diverges even though the minimized
+        # rewriting is finite.  Replacing a disjunct by its core preserves
+        # equivalence.
+        if minimize and len(candidate.body) <= _CORE_SIZE_LIMIT:
+            if built is not None:
+                if built.seen(key, labels):
+                    counts["duplicates"] += 1
+                    return
+                built.add(key, label)
+            core, checks = core_and_checks(candidate)
+            counts["core_hom_checks"] += checks
+            if core.body != candidate.body:
+                candidate, key = core, IsoKey(core)
+        if index.seen(key, labels):
+            counts["duplicates"] += 1
+            return
+        if (
+            stats.queries_generated >= max_queries
+            or stats.total_atoms + len(candidate.body) > max_total_atoms
+        ):
+            raise _OutOfBudget
+        if label == "r":
+            stats.rewriting_steps += 1
+        else:
+            stats.factorization_steps += 1
+        stats.queries_generated += 1
+        stats.total_atoms += len(candidate.body)
+        note_growth()
+        entry = _Entry(candidate, label)
+        entries.append(entry)
+        index.add(key, label)
+        frontier.append(entry)
+
     def finish(complete: bool) -> RewritingResult:
         result = _finalize(data_schema, entries, stats, complete)
         run_span.set("generated", stats.queries_generated)
         run_span.set("rewriting_steps", stats.rewriting_steps)
         run_span.set("factorization_steps", stats.factorization_steps)
         run_span.set("final_disjuncts", stats.queries_final)
+        for name, value in counts.items():
+            run_span.set(name, value)
         run_span.set("complete", complete)
         return result
 
@@ -325,89 +418,69 @@ def xrewrite_cq(
     # registry next to the hom-search counters (observed on every exit,
     # including budget-exhaustion raises).
     with run_span, KERNEL_METRICS.timer("kernel.xrewrite.seconds").time():
-        while frontier:
-            entry = frontier.popleft()
-            if entry.explored:
-                continue
-            entry.explored = True
-            q = entry.query
-            for rule in rules:
-                fresh = rule.with_indexed_variables(next(counter)).rename_apart(
-                    q.variables()
-                )
-                max_size = max_subset_size or len(q.body)
-                head = fresh.head[0]
-                # Rewriting step.
-                for subset in _predicate_subsets(q, head.predicate, head.arity, max_size):
-                    sub = _applicable(q, subset, fresh)
-                    if sub is None:
+        try:
+            while frontier:
+                entry = frontier.popleft()
+                if entry.explored:
+                    continue
+                entry.explored = True
+                q = entry.query
+                for rule, ex_positions in rules:
+                    # Every (query, rule) pair spends one copy index, even
+                    # when no step applies, so rule copies keep their names.
+                    copy = next(counter)
+                    head = rule.head[0]
+                    atoms = _atoms_over(q, head.predicate, head.arity)
+                    if not atoms:
                         continue
-                    remaining = [a for a in set(q.body) if a not in set(subset)]
-                    candidate = _apply_to_query(
-                        q, sub, remaining + list(fresh.body), f"{query.name}_r",
-                        minimize,
+                    fresh = rule.with_indexed_variables(copy).rename_apart(
+                        q.variables()
                     )
-                    if seen(candidate, ("r",)):
+                    max_size = max_subset_size or len(q.body)
+                    # Rewriting step.
+                    for subset in _subsets(atoms, max_size):
+                        sub = _applicable(q, subset, fresh, ex_positions)
+                        if sub is not None:
+                            resolved = set(subset)
+                            remaining = [
+                                a for a in set(q.body) if a not in resolved
+                            ]
+                            admit(q, sub, remaining + list(fresh.body), "r")
+                    # Factorization step (Definition 7 needs an existential
+                    # position in the rule's head).
+                    if not ex_positions:
                         continue
-                    if (
-                        stats.queries_generated >= max_queries
-                        or stats.total_atoms + len(candidate.body)
-                        > max_total_atoms
-                    ):
-                        result = finish(complete=False)
-                        if partial:
-                            return result
-                        raise RewritingBudgetExceeded(result)
-                    stats.rewriting_steps += 1
-                    stats.queries_generated += 1
-                    stats.total_atoms += len(candidate.body)
-                    note_growth()
-                    new_entry = _Entry(candidate, "r")
-                    entries.append(new_entry)
-                    index.add(new_entry)
-                    frontier.append(new_entry)
-                # Factorization step.
-                for subset in _predicate_subsets(q, head.predicate, head.arity, max_size):
-                    sub = _factorizable(q, subset, fresh)
-                    if sub is None:
-                        continue
-                    candidate = _apply_to_query(
-                        q, sub, q.body, f"{query.name}_f", minimize
+                    for subset in _subsets(atoms, max_size):
+                        sub = _factorizable(q, subset, fresh, ex_positions)
+                        if sub is not None:
+                            admit(q, sub, q.body, "f")
+        except _OutOfBudget:
+            result = finish(complete=False)
+            if partial:
+                return result
+            raise RewritingBudgetExceeded(result)
+        finally:
+            for name in ("candidates", "duplicates"):
+                if counts[name]:
+                    KERNEL_METRICS.counter(f"kernel.xrewrite.{name}").inc(
+                        counts[name]
                     )
-                    if seen(candidate, ("r", "f")):
-                        continue
-                    if (
-                        stats.queries_generated >= max_queries
-                        or stats.total_atoms + len(candidate.body)
-                        > max_total_atoms
-                    ):
-                        result = finish(complete=False)
-                        if partial:
-                            return result
-                        raise RewritingBudgetExceeded(result)
-                    stats.factorization_steps += 1
-                    stats.queries_generated += 1
-                    stats.total_atoms += len(candidate.body)
-                    note_growth()
-                    new_entry = _Entry(candidate, "f")
-                    entries.append(new_entry)
-                    index.add(new_entry)
-                    frontier.append(new_entry)
         return finish(complete=True)
 
 
 def _finalize(
     data_schema, entries: Sequence[_Entry], stats: RewritingStats, complete: bool
 ) -> RewritingResult:
-    final: List[CQ] = []
-    for e in entries:
-        if e.label != "r":
-            continue
-        if all(p in data_schema for p in e.query.predicates()):
-            final.append(e.query)
+    # The r entries are pairwise non-isomorphic by construction (each was
+    # checked against every earlier one), so the union needs no dedup.
+    final: List[CQ] = [
+        e.query
+        for e in entries
+        if e.label == "r"
+        and all(p in data_schema for p in e.query.predicates())
+    ]
     stats.queries_final = len(final)
-    ucq = UCQ(tuple(final)).deduplicate()
-    return RewritingResult(ucq, stats, complete)
+    return RewritingResult(UCQ(tuple(final)), stats, complete)
 
 
 def xrewrite(
@@ -420,9 +493,11 @@ def xrewrite(
     """UCQ-rewrite an OMQ (CQ- or UCQ-based).
 
     For a UCQ-based OMQ the disjuncts are rewritten independently and the
-    results unioned — sound because rewriting distributes over union.
+    results unioned — sound because rewriting distributes over union.  The
+    statistics are the sums of the disjuncts' runs, except
+    ``queries_final``, which counts the deduplicated union.
     """
-    stats_total = RewritingStats(budget=max_queries)
+    stats_total = RewritingStats(budget=0, queries_generated=0)
     disjuncts: List[CQ] = []
     complete = True
     for d in omq.as_ucq().disjuncts:
@@ -435,9 +510,7 @@ def xrewrite(
             partial=partial,
         )
         disjuncts.extend(result.rewriting.disjuncts)
-        stats_total.rewriting_steps += result.stats.rewriting_steps
-        stats_total.factorization_steps += result.stats.factorization_steps
-        stats_total.queries_generated += result.stats.queries_generated
+        stats_total.add(result.stats)
         complete = complete and result.complete
     ucq = UCQ(tuple(disjuncts), omq.as_ucq().name + "_rw").deduplicate()
     stats_total.queries_final = len(ucq.disjuncts)

@@ -340,6 +340,31 @@ class TestLiveServer:
             assert "repro_serve_requests_acme_submitted 1" in text
             assert "repro_serve_http_requests" in text
 
+    def test_metrics_carry_xrewrite_waste_counters(self):
+        # A decision that runs XRewrite on the replica's own thread
+        # (workers=1): its candidate, duplicate and core-check counters
+        # must show in both /metrics formats.
+        path3 = (
+            "schema: E/2\nrules:\n    E(x, y) -> P(x, y)\n"
+            "query: q() :- P(x, y), P(y, z), P(z, w)\n"
+        )
+        path2 = "schema: E/2\nquery: q() :- E(x, y), E(y, z)\n"
+        names = (
+            "kernel.xrewrite.candidates",
+            "kernel.xrewrite.duplicates",
+            "kernel.core.hom_checks",
+        )
+        with _Replica() as replica, replica.client() as client:
+            done = client.run(containment_doc(path3, path2))
+            assert done["result"]["verdict"] == "contained", done
+            snapshot = client.metrics()["metrics"]
+            text = client.metrics_prometheus()
+        for name in names:
+            assert snapshot[name] > 0, name
+            metric = "repro_" + name.replace(".", "_")
+            assert f"# TYPE {metric} counter" in text, metric
+            assert f"{metric} {snapshot[name]}" in text, metric
+
     def test_debug_profile_reports_latency_and_live_profile(self):
         with _Replica(trace_mode="always") as replica:
             with replica.client() as client:

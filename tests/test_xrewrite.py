@@ -277,3 +277,94 @@ class TestBounds:
         assert witness_size_bound(example1, TGDClass.LINEAR) == 2
         with pytest.raises(ValueError):
             witness_size_bound(example1, TGDClass.GUARDED)
+
+
+class TestUnionStats:
+    """xrewrite() sums its disjuncts' statistics from zero."""
+
+    def test_one_cq_omq_reports_what_xrewrite_cq_does(self):
+        from dataclasses import asdict
+
+        from repro.generators import linear_witness_family
+        from repro.rewriting.xrewrite import xrewrite_cq
+
+        omq = linear_witness_family(3)
+        single = xrewrite_cq(omq.data_schema, omq.sigma, omq.as_cq())
+        union = xrewrite(omq)
+        assert asdict(union.stats) == asdict(single.stats)
+        assert union.stats.queries_generated == 13
+        assert union.stats.total_atoms > 0 and union.stats.atom_budget > 0
+
+    def test_two_disjunct_ucq_sums(self):
+        from dataclasses import asdict
+
+        from repro.core.parser import parse_ucq
+        from repro.rewriting.xrewrite import xrewrite_cq
+
+        sigma = parse_tgds("A(x) -> B(x)\nE(x, y) -> P(x, y)")
+        ucq = parse_ucq("q(x) :- B(x) | q(x) :- P(x, y), P(y, z)")
+        omq = OMQ(Schema.of(A=1, E=2), sigma, ucq)
+        parts = [
+            asdict(xrewrite_cq(omq.data_schema, sigma, d).stats)
+            for d in ucq.disjuncts
+        ]
+        union = asdict(xrewrite(omq).stats)
+        for name in union:
+            if name != "queries_final":
+                assert union[name] == sum(p[name] for p in parts), name
+        assert union["queries_final"] == len(xrewrite(omq).rewriting)
+
+
+class TestWasteCounters:
+    """Candidates built, duplicates discarded and core hom checks."""
+
+    # linear_witness_family(3): 22 candidates, 10 of them isomorphic to an
+    # earlier query; 12 rewriting steps; the cores ran 19 hom checks.
+    PINNED = {
+        "kernel.xrewrite.candidates": 22,
+        "kernel.xrewrite.duplicates": 10,
+        "kernel.core.hom_checks": 19,
+    }
+
+    def test_counters_and_span_attributes_are_pinned(self):
+        import repro
+        from repro import obs
+        from repro.generators import linear_witness_family
+        from repro.kernel import kernel_snapshot
+        from repro.rewriting.xrewrite import xrewrite_cq
+
+        omq = linear_witness_family(3)
+        repro.clear_caches()
+        obs.drain()
+        with obs.tracing("always"):
+            result = xrewrite_cq(omq.data_schema, omq.sigma, omq.as_cq())
+        (tree,) = obs.drain()
+        snapshot = kernel_snapshot()
+        assert {k: snapshot.get(k) for k in self.PINNED} == self.PINNED
+        attrs = tree["attrs"]
+        assert tree["name"] == "rewrite.xrewrite"
+        assert attrs["candidates"] == 22
+        assert attrs["duplicates"] == 10
+        assert attrs["core_hom_checks"] == 19
+        # The existing attributes keep their meaning.
+        assert attrs["generated"] == result.stats.queries_generated == 13
+        assert attrs["final_disjuncts"] == result.stats.queries_final
+        assert (
+            attrs["candidates"] - attrs["duplicates"]
+            == result.stats.rewriting_steps + result.stats.factorization_steps
+        )
+
+    def test_counters_reach_batch_engine_stats(self):
+        from repro.engine import BatchEngine
+        from repro.generators import linear_witness_family
+
+        q1 = linear_witness_family(3)
+        q2 = OMQ(
+            q1.data_schema, (), parse_cq("q() :- E(x, y), E(y, z)"), name="two"
+        )
+        with BatchEngine() as engine:
+            engine.contains(q1, q2)
+            stats = engine.stats()
+        for name in self.PINNED:
+            assert stats["kernel"][name] >= self.PINNED[name], name
+            assert stats["metrics"][name] == stats["kernel"][name]
