@@ -9,7 +9,7 @@ Workloads:
 
 * containment — 16 independent CONTAINED checks over per-task-renamed
   linear path OMQs (``P``-path under ``E ⊑ P`` vs the plain ``E``-path).
-  The pairs are built so the CQ-subsumption shortcut does not fire and the
+  The pairs are built so the entailment check cannot prove them and the
   full small-witness procedure runs.
 * overlap — blocking tasks (stand-ins for checks that spend their time
   waiting) where the pool's per-worker overlap wins even on one core.
@@ -53,8 +53,9 @@ def _containment_job(tag: int, size: int) -> ContainmentJob:
 
     q1 is a ``P``-path whose ``P`` is derivable from the data relation
     ``E`` (one linear hop); q2 is the plain ``E``-path.  They are
-    equivalent over ``E``-databases, but Σ(q1) ⊄ Σ(q2) = ∅, so the
-    CQ-subsumption shortcut cannot answer and q1 gets fully rewritten.
+    equivalent over ``E``-databases, but Σ(q2) = ∅ does not entail
+    ``E ⊑ P``, so the entailment check cannot answer and q1 gets fully
+    rewritten.
     Per-task predicate names keep the 16 tasks cache-independent.
     """
     e, p = f"E{tag}", f"P{tag}"

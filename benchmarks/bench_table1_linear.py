@@ -34,7 +34,7 @@ def test_containment_scales_with_ontology(benchmark, length):
     def run():
         cached_rewriting.cache_clear()
         # Call the small-witness procedure directly so the timing reflects
-        # Theorem 11's algorithm, not the CQ-subsumption shortcut.
+        # Theorem 11's algorithm, not the entailment check.
         return contains_via_small_witness(omq, omq)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -24,6 +24,8 @@ facts have level 0 and a null created from a trigger whose image has level
 :class:`ChaseBudgetExceeded` unless ``partial=True``; reaching ``max_depth``
 silently truncates (the standard device for sound bounded evaluation of
 guarded OMQs, cf. Section 5's discussion of the infinite guarded chase).
+A ``goal`` — a query and an answer tuple — stops the chase as soon as the
+answer holds: the chase is then a search for a proof, not for a model.
 
 Trigger discovery comes in two strategies:
 
@@ -43,11 +45,12 @@ Trigger discovery comes in two strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.atoms import Atom
 from ..core.homomorphism import find_homomorphism, homomorphisms
 from ..core.instance import Instance
+from ..core.queries import CQ, UCQ
 from ..core.terms import NullFactory, Term, Variable
 from ..core.tgd import TGD
 from ..kernel import (
@@ -95,6 +98,7 @@ class ChaseResult:
     terminated: bool
     levels: Dict[Term, int] = field(default_factory=dict)
     log: List[ChaseStep] = field(default_factory=list)
+    goal_reached: bool = False
 
     def level_of_atom(self, a: Atom) -> int:
         """The level of an atom: the max level of its arguments (0 if ground)."""
@@ -134,6 +138,7 @@ def chase(
     partial: bool = False,
     null_factory: Optional[NullFactory] = None,
     strategy: str = "delta",
+    goal: Optional[Tuple[Union[CQ, UCQ], Sequence[Term]]] = None,
 ) -> ChaseResult:
     """Run the chase of *instance* under *sigma*.
 
@@ -156,21 +161,30 @@ def chase(
         ``"delta"`` (semi-naive trigger discovery, the default) or
         ``"naive"`` (full re-enumeration each round).  Both produce the
         same result, step for step.
+    goal:
+        A ``(query, answer)`` pair (delta strategy only).  The chase tests
+        ``answer ∈ query(I)`` before the first step and after every step
+        that adds a fact over one of the query's predicates, and stops as
+        soon as it holds, with ``goal_reached`` set and ``terminated``
+        False.  A chase that runs out of steps or reaches its fixpoint
+        first returns as it would without a goal.
     """
     if policy not in ("restricted", "oblivious"):
         raise ValueError(f"unknown chase policy: {policy}")
     if strategy not in ("delta", "naive"):
         raise ValueError(f"unknown chase strategy: {strategy}")
-    runner = _chase_delta if strategy == "delta" else _chase_naive
-    return runner(
-        instance,
-        sigma,
+    if goal is not None and strategy != "delta":
+        raise ValueError("a chase goal needs the delta strategy")
+    options = dict(
         policy=policy,
         max_steps=max_steps,
         max_depth=max_depth,
         partial=partial,
         nulls=null_factory or NullFactory(),
     )
+    if strategy == "naive":
+        return _chase_naive(instance, sigma, **options)
+    return _chase_delta(instance, sigma, goal=goal, **options)
 
 
 def _chase_delta(
@@ -182,6 +196,7 @@ def _chase_delta(
     max_depth: Optional[int],
     partial: bool,
     nulls: NullFactory,
+    goal: Optional[Tuple[Union[CQ, UCQ], Sequence[Term]]],
 ) -> ChaseResult:
     work = WorkingInstance.from_instance(instance)
     levels: Dict[Term, int] = {t: 0 for t in instance.domain()}
@@ -206,14 +221,25 @@ def _chase_delta(
         "chase.run", strategy="delta", policy=policy, rules=len(sigma)
     ) as run_span:
 
-        def make_result(terminated: bool) -> ChaseResult:
+        def make_result(
+            terminated: bool, goal_reached: bool = False
+        ) -> ChaseResult:
             run_span.set("steps", steps)
             run_span.set("terminated", terminated)
+            if goal is not None:
+                run_span.set("goal_reached", goal_reached)
             # One counter bump per predicate per run: /metrics shows the
             # cardinality regime the join planner saw.
             flush_cardinality(work.cardinality_stats())
-            return ChaseResult(work.snapshot(), steps, terminated, levels, log)
+            return ChaseResult(
+                work.snapshot(), steps, terminated, levels, log, goal_reached
+            )
 
+        if goal is not None:
+            goal_query, goal_answer = goal
+            goal_predicates = goal_query.predicates()
+            if goal_query.holds_in(work, goal_answer):
+                return make_result(False, True)
         old_mark = 0
         new_mark = work.watermark()
         first_round = True
@@ -286,6 +312,12 @@ def _chase_delta(
                                 tuple(added),
                             )
                         )
+                        if (
+                            goal is not None
+                            and any(a.predicate in goal_predicates for a in added)
+                            and goal_query.holds_in(work, goal_answer)
+                        ):
+                            return make_result(False, True)
                 new_facts = work.watermark() - new_mark
                 round_sizes.observe(new_facts)
                 round_span.add("fired", steps - round_steps)

@@ -1,6 +1,8 @@
 """The front door: ``contains(Q1, Q2)`` with automatic procedure selection.
 
-Following the paper's plan of attack (Section 3.3 and Section 6):
+First the sound entailment check (:mod:`.entailment`): Σ2 entails Σ1 and
+q1 ⊆ q2 under Σ2.  Then, following the paper's plan of attack (Section 3.3
+and Section 6):
 
 * LHS in a UCQ-rewritable language (∅, L, NR, FNR, S) — the small-witness
   algorithm (Theorem 11), *exact* for any RHS whose evaluation is exact.
@@ -13,34 +15,16 @@ Following the paper's plan of attack (Section 3.3 and Section 6):
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.omq import OMQ, TGDClass, UCQ_REWRITABLE_CLASSES
+from ..core.instance import FREEZE_PREFIX
+from ..core.omq import OMQ, UCQ_REWRITABLE_CLASSES
+from ..core.terms import Null, Term
 from ..fragments.classify import best_class
 from .. import obs
+from .entailment import contains_by_entailment, freezing_hazard
 from .guarded import contains_guarded
-from .cq import ucq_contained_in
 from .propositional import contains_propositional, is_propositional
-from .result import ContainmentResult, Verdict, contained
+from .result import ContainmentResult, Verdict, unknown
 from .small_witness import check_same_data_schema, contains_via_small_witness
-
-
-def cq_subsumption(q1: OMQ, q2: OMQ) -> Optional[ContainmentResult]:
-    """A cheap sound shortcut: Σ1 ⊆ Σ2 and q1 ⊆ q2 as plain (U)CQs.
-
-    Soundness: ``c̄ ∈ Q1(D) = q1(chase(D, Σ1)) ⊆ q2(chase(D, Σ1))`` and,
-    because chase(D, Σ1) maps homomorphically into the model chase(D, Σ2)
-    whenever Σ1 ⊆ Σ2, also ``c̄ ∈ q2(chase(D, Σ2)) = Q2(D)``.  Returns None
-    when the shortcut does not apply (which proves nothing).
-    """
-    check_same_data_schema(q1, q2)
-    if not set(q1.sigma) <= set(q2.sigma):
-        return None
-    if ucq_contained_in(q1.as_ucq(), q2.as_ucq()):
-        return contained(
-            "cq-subsumption", "q1 ⊆ q2 as plain queries and Σ1 ⊆ Σ2"
-        )
-    return None
 
 
 def contains(
@@ -58,17 +42,25 @@ def contains(
     exact small-witness path (whose rewriting is guaranteed finite), a
     small speculative one for the guarded layers.  Keyword arguments beyond
     the budgets are forwarded to the guarded layered procedure when it is
-    selected.
+    selected.  A pair holding a null, or a constant spelled like a frozen
+    variable, answers UNKNOWN (method ``freezing-guard``).
     """
+    check_same_data_schema(q1, q2)
     with obs.span(
         "containment.decide", lhs_rules=len(q1.sigma), rhs_rules=len(q2.sigma)
     ) as decision:
-        with obs.span("containment.subsumption"):
-            subsumption = cq_subsumption(q1, q2)
-        if subsumption is not None:
-            decision.set("method", subsumption.method)
-            decision.set("verdict", subsumption.verdict.name)
-            return subsumption
+        # Every procedure below freezes variables into constants; where a
+        # term can collide with a frozen one, none of them is sound.
+        hazard = freezing_hazard(q1, q2)
+        proof = (
+            unknown("freezing-guard", _hazard_detail(hazard))
+            if hazard is not None
+            else contains_by_entailment(q1, q2)
+        )
+        if proof is not None:
+            decision.set("method", proof.method)
+            decision.set("verdict", proof.verdict.name)
+            return proof
         if is_propositional(q1) and len(q1.data_schema) <= 16:
             with obs.span("containment.propositional"):
                 result = contains_propositional(
@@ -101,6 +93,15 @@ def contains(
         decision.set("method", result.method)
         decision.set("verdict", result.verdict.name)
         return result
+
+
+def _hazard_detail(term: Term) -> str:
+    kind = "null" if isinstance(term, Null) else "constant"
+    return (
+        f"the {kind} {term} can collide with a variable frozen to "
+        f"{FREEZE_PREFIX}<name>, so no freezing-based procedure is sound "
+        "for this pair"
+    )
 
 
 def is_contained(q1: OMQ, q2: OMQ, **kwargs) -> bool:

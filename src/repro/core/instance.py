@@ -17,7 +17,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .atoms import Atom
 from .schema import Schema
@@ -279,6 +289,23 @@ def freezing(
         for t in a.args
         if isinstance(t, Variable)
     }
+
+
+def freeze_collision(terms: Iterable[Term]) -> Optional[Term]:
+    """The first of *terms* that can collide with a frozen variable, or None.
+
+    Freezing maps ``x`` to the constant ``c_x``.  It is injective, and keeps
+    frozen variables apart from every other term, only when no term is a
+    null (which a homomorphism may move) or a constant spelled with
+    :data:`FREEZE_PREFIX`.  A canonical-database argument is sound only
+    when this returns None for every term it involves.
+    """
+    for t in terms:
+        if isinstance(t, Null) or (
+            isinstance(t, Constant) and t.name.startswith(FREEZE_PREFIX)
+        ):
+            return t
+    return None
 
 
 def freeze_atoms(

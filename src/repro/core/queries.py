@@ -12,6 +12,7 @@ finite disjunction of CQs of the same arity.  This module provides:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -405,10 +406,15 @@ def _injective_match(left: CQ, right: IsoKey) -> Optional[Dict[Term, Term]]:
         s: (_VarToken(t) if isinstance(t, Variable) else t)
         for s, t in fixed.items()
     }
-    for h in compiled_search(left.body).search(right.target, wrapped_fixed):
-        values = [v for v in h.values()]
-        if len(set(values)) == len(values):
-            return {k: _unwrap(v) for k, v in h.items()}
+    # Closed explicitly, as in HomSearch.find: stopping early must not leave
+    # the search's counter flush to the garbage collector.
+    with closing(
+        compiled_search(left.body).search(right.target, wrapped_fixed)
+    ) as matches:
+        for h in matches:
+            values = [v for v in h.values()]
+            if len(set(values)) == len(values):
+                return {k: _unwrap(v) for k, v in h.items()}
     return None
 
 

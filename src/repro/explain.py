@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chase.engine import ChaseResult, chase
 from .core.atoms import Atom
-from .core.homomorphism import homomorphisms
+from .core.homomorphism import find_homomorphism
 from .core.instance import Instance
 from .core.omq import OMQ
 from .core.terms import Constant, Term
@@ -150,7 +150,8 @@ def explain_answer(
                     break
             if not compatible:
                 continue
-            for h in homomorphisms(disjunct.body, result.instance, fixed):
+            h = find_homomorphism(disjunct.body, result.instance, fixed)
+            if h is not None:
                 cache: Dict[Atom, Derivation] = {}
                 derivations = tuple(
                     _derive(a.substitute(h), database, index, cache)

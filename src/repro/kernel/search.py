@@ -38,6 +38,7 @@ into one engine.  Compared with the pre-kernel search in
 
 from __future__ import annotations
 
+from contextlib import closing
 from functools import lru_cache
 from itertools import count as _counter
 from time import perf_counter
@@ -314,10 +315,13 @@ class HomSearch:
         planner: Optional[str] = None,
     ) -> Optional[Dict[Term, Term]]:
         """The first homomorphism, or None."""
-        return next(
-            self.search(target, fixed, limit=limit, ranges=ranges, planner=planner),
-            None,
-        )
+        # Closed here rather than when collected: the search flushes its
+        # counters in its ``finally``, and an exception raised there (a
+        # SIGALRM cap, say) must reach this caller, not be printed and lost.
+        with closing(
+            self.search(target, fixed, limit=limit, ranges=ranges, planner=planner)
+        ) as matches:
+            return next(matches, None)
 
 
 @lru_cache(maxsize=4096)

@@ -39,10 +39,10 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
-from ..core.instance import FREEZE_PREFIX
+from ..core.instance import freeze_collision
 from ..core.omq import OMQ
 from ..core.queries import CQ, UCQ, IsoKey, core_and_checks
-from ..core.terms import Constant, Null, Term, Variable
+from ..core.terms import Constant, Term, Variable
 from ..core.tgd import TGD, normalize_single_head
 from ..kernel import KERNEL_METRICS, atom_str
 from .. import obs
@@ -269,11 +269,7 @@ def _cores_are_exact(query: CQ, rules: Sequence[TGD]) -> bool:
     """
     atoms = list(query.body) + [a for r in rules for a in r.body + r.head]
     terms = list(query.head) + [t for a in atoms for t in a.args]
-    return not any(
-        isinstance(t, Null)
-        or (isinstance(t, Constant) and t.name.startswith(FREEZE_PREFIX))
-        for t in terms
-    )
+    return freeze_collision(terms) is None
 
 
 def _atoms_over(query: CQ, predicate: str, arity: int) -> List[Atom]:

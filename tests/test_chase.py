@@ -141,6 +141,44 @@ class TestBudgetsAndTermination:
         assert depths == [1, 2]
 
 
+class TestGoal:
+    def test_goal_holding_up_front_takes_no_step(self):
+        sigma = parse_tgds("R(x, y) -> R(y, w)")
+        goal = (parse_cq("q(x) :- R(x, y)"), (Constant("a"),))
+        result = chase(parse_database("R(a, b)"), sigma, goal=goal)
+        assert result.goal_reached and result.steps == 0
+        assert not result.terminated
+
+    def test_stops_at_the_step_that_reaches_the_goal(self):
+        # Without the goal this chase never ends.
+        sigma = parse_tgds("R(x, y) -> R(y, w)")
+        path = parse_cq("q(x) :- R(x, y), R(y, z), R(z, u)")
+        result = chase(
+            parse_database("R(a, b)"), sigma, goal=(path, (Constant("a"),))
+        )
+        assert result.goal_reached and result.steps == 2
+        assert path.holds_in(result.instance, (Constant("a"),))
+
+    def test_unreached_goal_changes_nothing(self):
+        sigma = parse_tgds("P(x) -> Q(x)\nQ(x) -> S(x)")
+        db = parse_database("P(a). P(b)")
+        goal = (parse_cq("q() :- T(x)"), ())
+        with_goal = chase(db, sigma, goal=goal)
+        plain = chase(db, sigma)
+        assert not with_goal.goal_reached and with_goal.terminated
+        assert with_goal.instance == plain.instance
+        assert with_goal.log == plain.log
+
+    def test_goal_needs_the_delta_strategy(self):
+        with pytest.raises(ValueError):
+            chase(
+                parse_database("P(a)"),
+                parse_tgds("P(x) -> Q(x)"),
+                strategy="naive",
+                goal=(parse_cq("q() :- Q(x)"), ()),
+            )
+
+
 class TestCertainAnswers:
     def test_certain_answers_via_chase(self):
         sigma = parse_tgds("Prof(x) -> Teaches(x, w)")

@@ -17,8 +17,10 @@ for every pair, that
   ``c̄ ∈ Q1(D)`` and ``c̄ ∉ Q2(D)`` on the reported database;
 * construction-time knowledge is respected: α-pairs and specialized
   pairs (Q1 = Q2's query plus conjuncts, over an α-renamed ontology —
-  which defeats the syntactic Σ1 ⊆ Σ2 subsumption shortcut) are never
-  reported NOT_CONTAINED.
+  so Σ1 ⊆ Σ2 fails syntactically) are never reported NOT_CONTAINED;
+* the front door's entailment check, which proves such pairs before any
+  procedure runs, answers at least once — and the procedures are still
+  run directly on the same pairs.
 
 Run size, seed, and wall-clock budget come from the command line::
 
@@ -284,6 +286,7 @@ def test_differential_containment(diff_options):
         )
         if not verdicts:
             stats["all_unknown"] += 1
+        stats[f"method:{results['dispatch'].method}"] += 1
         for v in verdicts:
             stats[f"verdict:{v.name}"] += 1
 
@@ -310,6 +313,7 @@ def test_differential_containment(diff_options):
     assert stats["oracle_checked"] > stats["cases"] // 10, dict(stats)
     assert stats["verdict:CONTAINED"] > 0, dict(stats)
     assert stats["verdict:NOT_CONTAINED"] > 0, dict(stats)
+    assert stats["method:entailment"] > 0, dict(stats)
 
 
 # -- deterministic spot checks on the generators themselves -----------------

@@ -386,6 +386,49 @@ class TestKernelCounters:
         assert any(k.startswith("kernel.hom.") for k in stats["kernel"])
 
 
+class TestSearchFlush:
+    """A search flushes its counters in its own ``finally``; an exception
+    raised there must reach the caller even when it stops the search early."""
+
+    @staticmethod
+    def raising_flush():
+        from unittest import mock
+        import repro.kernel.search as search
+
+        def flush(*args, **kwargs):
+            raise RuntimeError("flush")
+
+        return mock.patch.object(search, "flush_search_counts", flush)
+
+    def test_find_propagates(self):
+        target = Instance.of([fact("P", "a"), fact("P", "b")])
+        with self.raising_flush(), pytest.raises(RuntimeError):
+            find_homomorphism([atom("P", x)], target)
+
+    def test_exhausted_search_propagates(self):
+        target = Instance.of([fact("P", "a")])
+        with self.raising_flush(), pytest.raises(RuntimeError):
+            list(homomorphisms([atom("P", x)], target))
+
+    def test_injective_match_propagates(self):
+        from repro.core.parser import parse_cq
+        from repro.core.queries import IsoKey
+
+        left = IsoKey(parse_cq("q(x) :- R(x, y), R(y, z)"))
+        right = IsoKey(parse_cq("q(u) :- R(u, v), R(v, w)"))
+        right.target  # built outside the patch
+        with self.raising_flush(), pytest.raises(RuntimeError):
+            left.isomorphic_to(right)
+
+    def test_find_counts_one_search(self):
+        repro.clear_caches()
+        target = Instance.of([fact("P", "a"), fact("P", "b")])
+        assert find_homomorphism([atom("P", x)], target) is not None
+        snap = kernel_snapshot()
+        assert snap["kernel.hom.searches"] == 1
+        assert snap["kernel.hom.matches"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Budget degradation and the CLI flags
 # ---------------------------------------------------------------------------

@@ -379,11 +379,12 @@ class TestLiveServer:
                 assert 0.0 < lat["p50_s"] <= lat["p95_s"] <= lat["p99_s"]
                 assert lat["max_s"] >= lat["mean_s"] > 0.0
                 # Exemplars link the bucket to the decision's trace id
-                # ("<pid>-<n>"), not the job id, when tracing is on.
+                # ("<pid hex>-<seq hex>", obs.span.new_span_id), not the
+                # job id, when tracing is on.
                 refs = [ex["ref"] for ex in lat["exemplars"].values()]
                 assert len(refs) == 1
                 assert refs[0] != done["id"]
-                assert re.fullmatch(r"[0-9a-f]+-\d+", refs[0])
+                assert re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", refs[0])
                 # The live profile aggregates the captured span trees.
                 assert body["traced_decisions"] == 1
                 profile = body["profile"]
