@@ -32,8 +32,8 @@ Commands:
 ``contains`` and ``rewrite`` accept ``--json`` (the machine-readable
 output contract shared with ``batch``) and ``--cache-dir``/``--workers``
 to route through the :class:`repro.engine.BatchEngine`.
-``--cache-backend {sqlite,sharded,memory}`` picks the disk layer under
-``--cache-dir`` (``sharded`` is the lock-free, NFS-safe layout), and
+``--cache-dir DIR`` keeps the result cache in ``DIR/repro-cache.sqlite``
+(without it, results live in memory only), and
 ``--catalog PATH`` attaches the persistent equivalence catalog: OMQ
 pairs proven equivalent in *any* earlier session answer instantly, even
 after the result cache has been evicted or deleted.
@@ -140,7 +140,7 @@ def _rewriting_to_json(
 
 
 def _make_engine(args):
-    """A BatchEngine honoring --cache-dir/--cache-backend/--catalog/
+    """A BatchEngine honoring --cache-dir/--catalog/--witness-store/
     --workers/--timeout/--trace."""
     from .engine import BatchEngine
 
@@ -149,7 +149,6 @@ def _make_engine(args):
         workers=getattr(args, "workers", 1) or 1,
         task_timeout=getattr(args, "timeout", None),
         trace="always" if getattr(args, "trace", None) else None,
-        cache_backend=getattr(args, "cache_backend", "sqlite") or "sqlite",
         catalog=getattr(args, "catalog", None),
         witness_store=getattr(args, "witness_store", None),
         witness_replay=getattr(args, "witness_replay", None),
@@ -508,15 +507,24 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    """Inspect a cross-session OMQ equivalence catalog."""
+    """Inspect a cross-session OMQ equivalence catalog.
+
+    Reads the file read-only: a catalog with stale stamps is listed, not
+    rebuilt, and a file that is not a catalog is left as it is.
+    """
     from .engine.catalog import OMQCatalog
 
     if not Path(args.catalog_file).exists():
         print(f"no catalog at {args.catalog_file}", file=sys.stderr)
         return 2
-    with OMQCatalog(args.catalog_file) as catalog:
-        stats = catalog.stats()
-        groups = catalog.groups()
+    try:
+        stats, groups = OMQCatalog.inspect(args.catalog_file)
+    except ValueError as exc:
+        print(
+            f"cannot read catalog {args.catalog_file}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     if args.json:
         print(
             json.dumps(
@@ -535,6 +543,7 @@ def _cmd_catalog(args) -> int:
         f"{stats['hashes']} hashes, {stats['edges']} containment edges, "
         f"{stats['groups']} equivalence group(s) covering "
         f"{stats['grouped_hashes']} hashes"
+        + _stale_note(stats, "opening it as a catalog would rebuild it")
     )
     for rep, members in groups.items():
         print(f"group {rep[:16]}… ({len(members)} members):")
@@ -542,6 +551,16 @@ def _cmd_catalog(args) -> int:
             marker = "*" if member == rep else " "
             print(f"  {marker} {member}")
     return 0
+
+
+def _stale_note(stats: dict, consequence: str) -> str:
+    """The listing's note on a store whose stamps are not current."""
+    if stats["current"]:
+        return ""
+    return (
+        f" [stale stamps: schema={stats['schema_version'] or '?'}"
+        f" canon={stats['canon_version'] or '?'} — {consequence}]"
+    )
 
 
 def _cmd_witnesses(args) -> int:
@@ -557,7 +576,7 @@ def _cmd_witnesses(args) -> int:
         print(f"no witness store at {args.witness_file}", file=sys.stderr)
         return 2
     try:
-        stats, rows = WitnessStore.scan(args.witness_file, limit=args.limit)
+        stats, rows = WitnessStore.inspect(args.witness_file, limit=args.limit)
     except ValueError as exc:
         print(
             f"cannot read witness store {args.witness_file}: {exc}",
@@ -574,14 +593,7 @@ def _cmd_witnesses(args) -> int:
     print(
         f"{stats['entries']} stored witness(es) over "
         f"{stats['lhs_keys']} LHS / {stats['rhs_keys']} RHS canonical "
-        f"hash(es)"
-        + (
-            ""
-            if stats["current"]
-            else f" [stale stamps: schema={stats['schema_version'] or '?'}"
-            f" canon={stats['canon_version'] or '?'} — replay would"
-            " rebuild this file]"
-        )
+        f"hash(es)" + _stale_note(stats, "replay would rebuild this file")
     )
     shown = 0
     for entry in rows:
@@ -702,7 +714,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         task_timeout=args.timeout,
         cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
         catalog=args.catalog,
         witness_store=args.witness_store,
         witness_replay=args.witness_replay,
@@ -779,14 +790,6 @@ def _add_trace_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_backend_flags(p: argparse.ArgumentParser) -> None:
-    from .engine.cache import available_backends
-
-    p.add_argument(
-        "--cache-backend", default="sqlite", dest="cache_backend",
-        choices=available_backends(),
-        help="disk layer under --cache-dir: sqlite (WAL, single host), "
-        "sharded (one file per entry, lock-free, NFS-safe), or memory",
-    )
     p.add_argument(
         "--catalog", metavar="PATH", default=None,
         help="persistent OMQ equivalence catalog; proven-equivalent "
@@ -803,10 +806,10 @@ def _add_engine_backend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--witness-replay", default="structural", dest="witness_replay",
         choices=("exact", "structural", "off"),
-        help="witness replay ladder: exact = hash-equal rungs only, "
-        "structural (default) = also replay signature-compatible "
-        "witnesses via two fresh hom-checks, off = record but never "
-        "replay",
+        help="witness replay: exact = the exact pair and same-LHS/"
+        "same-RHS witnesses only, structural (default) = also replay "
+        "signature-compatible witnesses via two fresh hom-checks, "
+        "off = record but never replay",
     )
 
 

@@ -5,15 +5,19 @@ A service-shaped layer over the per-call library API:
 * :mod:`~repro.engine.canon` — isomorphism-invariant canonical forms and
   content hashes for CQs, tgd sets, instances, and OMQs (the cache-key
   algebra);
+* :mod:`~repro.engine.store` — the durable-store contract the three
+  tiers below share: one sqlite file per tier, WAL, version stamps,
+  degrade-never-crash, read-only inspection;
 * :mod:`~repro.engine.cache` — a persistent, corruption-tolerant result
-  store fronted by an in-memory LRU, over pluggable byte backends
-  (sqlite WAL, sharded directory, memory — :data:`BACKENDS`);
+  store fronted by an in-memory LRU (sqlite with ``cache_dir``, memory
+  without);
 * :mod:`~repro.engine.catalog` — the cross-session catalog of
   proven-equivalent OMQ groups (persistent union-find over canonical
   hashes) that lets later sessions skip recomputation entirely;
 * :mod:`~repro.engine.witness_store` — the catalog's negative dual: a
-  persistent store of NOT_CONTAINED counterexamples, replayed as single
-  hom-checks ahead of the full decision procedures;
+  persistent store of NOT_CONTAINED counterexamples: an exact-pair
+  probe ahead of the catalog, a cross-pair scan of cheap hom-checks
+  after the cache and ahead of the full decision procedures;
 * :mod:`~repro.engine.pool` — a crash-isolated multiprocessing pool with
   per-task timeouts and a deterministic serial fallback;
 * :mod:`~repro.engine.scheduler` — async submission (:class:`JobHandle`,
@@ -39,15 +43,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .cache import (
-        BACKENDS,
-        CacheBackend,
-        ResultCache,
-        ShardedDirBackend,
-        SqliteBackend,
-        available_backends,
-        register_backend,
-    )
+    from .cache import ResultCache
     from .catalog import OMQCatalog
     from .canon import (
         CANON_VERSION,
@@ -99,13 +95,7 @@ _EXPORTS = {
     "hash_omq": ".canon",
     "hash_tgds": ".canon",
     "hash_ucq": ".canon",
-    "BACKENDS": ".cache",
-    "CacheBackend": ".cache",
     "ResultCache": ".cache",
-    "ShardedDirBackend": ".cache",
-    "SqliteBackend": ".cache",
-    "available_backends": ".cache",
-    "register_backend": ".cache",
     "OMQCatalog": ".catalog",
     "BatchEngine": ".engine",
     "ClassificationOutcome": ".jobs",
@@ -140,6 +130,7 @@ _SUBMODULES = {
     "pool",
     "registry",
     "scheduler",
+    "store",
     "witness_store",
 }
 

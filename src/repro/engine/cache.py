@@ -1,4 +1,4 @@
-"""The engine's result store: an in-memory LRU over pluggable backends.
+"""The engine's result store: an in-memory LRU over one sqlite file.
 
 Design (see DESIGN.md, "Batch engine" and section 8):
 
@@ -10,448 +10,46 @@ Design (see DESIGN.md, "Batch engine" and section 8):
   ``RewritingResult``, classification outcomes) — everything the library
   returns is a frozen dataclass over hashable cores, so pickling is safe
   and round-trips exactly.
-* **Backends**: :class:`ResultCache` is a front (LRU, pickling, metrics,
-  registry hookup) over a :class:`CacheBackend` that moves raw bytes.
-  Three ship in the :data:`BACKENDS` registry:
-
-  - ``"sqlite"`` — the WAL-mode sqlite file (single-host, multi-process);
-  - ``"sharded"`` — one file per entry under 256 hash-prefix shard
-    directories, written atomically via ``os.replace`` — no locks at
-    all, so it is safe on NFS and other shared filesystems where sqlite
-    locking is unreliable;
-  - ``"memory"`` — no disk layer (equivalent to ``cache_dir=None``).
-
-  ``register_backend`` admits external implementations (e.g. a networked
-  store) without touching this module.
-* **Corruption tolerance**: the cache must never take down a query.  Every
-  backend/pickle failure degrades to a miss; a structurally bad sqlite
-  file (not a database, wrong schema version, wrong canon version) is
-  deleted and rebuilt on open.  The sharded backend bakes both version
-  stamps into its directory name, so a version bump simply starts a fresh
-  directory.
-* **Contention tolerance**: several processes may share one
-  ``cache_dir`` (parallel batch runs, CI shards).  The sqlite backend
-  opens in WAL mode with a busy timeout, and a *transient*
-  ``sqlite3.OperationalError`` (``database is locked``, disk I/O
-  hiccups) only ever costs that one lookup/store — the file is **not**
-  discarded; deletion is reserved for genuine corruption
-  (``sqlite3.DatabaseError`` and bad version stamps).  The sharded
-  backend is contention-free by construction: concurrent writers race on
-  ``os.replace``, and either complete entry wins.
+* **Disk layer**: ``<cache_dir>/repro-cache.sqlite``, one ``results``
+  table under the durable-store contract of :mod:`repro.engine.store`
+  (WAL, version stamps, degrade-never-crash).  ``cache_dir=None`` keeps
+  results in memory only.  A payload that fails to unpickle costs one
+  miss and its row.
 * The in-memory LRU fronts the disk store so warm-batch lookups never
-  touch the backend; it registers with :mod:`repro.engine.registry` so
+  touch sqlite; it registers with :mod:`repro.engine.registry` so
   ``repro.clear_caches()`` empties it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
-import sqlite3
 import time
 from collections import OrderedDict
-from pathlib import Path
 from threading import RLock
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from . import registry
-from .canon import CANON_VERSION
 from .metrics import MetricsRegistry
+from .store import SqliteStore, StoreBacked
 
 #: Bump when the on-disk layout changes; old stores are discarded on open.
 SCHEMA_VERSION = "1"
 
 _DB_NAME = "repro-cache.sqlite"
 
-#: How long a connection waits on a locked database before giving up.
-#: Kept module-level so tests can shrink it without a 5s stall.
-_BUSY_TIMEOUT_MS = 5_000
+_DDL = (
+    "CREATE TABLE IF NOT EXISTS results "
+    "(key TEXT PRIMARY KEY, payload BLOB, created REAL)",
+)
 
 
-class CacheBackend:
-    """The byte-moving contract behind :class:`ResultCache`.
+class ResultCache(StoreBacked):
+    """A two-level (LRU memory, sqlite disk) store for results.
 
-    A backend stores opaque payloads under string keys.  Every method is
-    *total*: failures degrade to a miss / no-op and are counted on
-    ``transient_errors`` (hiccups: locks, I/O) or ``recoveries`` (the
-    backend threw away damaged state), never raised.  The front holds its
-    own lock around every backend call, so implementations need to be
-    safe across *processes*, not across threads of one process.
-    """
-
-    #: Registry name; also reported by ``ResultCache.stats()["backend"]``.
-    name = "abstract"
-
-    def __init__(self) -> None:
-        self.recoveries = 0
-        self.transient_errors = 0
-
-    @property
-    def persistent(self) -> bool:
-        """Whether stores currently reach durable storage."""
-        raise NotImplementedError
-
-    def load(self, key: str) -> Optional[bytes]:
-        """The payload stored under *key*, or ``None`` (miss/failure)."""
-        raise NotImplementedError
-
-    def store(self, key: str, payload: bytes) -> None:
-        """Persist *payload* under *key* (best effort)."""
-        raise NotImplementedError
-
-    def delete(self, key: str) -> None:
-        """Drop *key* if present (used when its payload fails to decode)."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        raise NotImplementedError
-
-    def count(self) -> int:
-        """Number of stored entries (0 on failure)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release resources; the backend degrades to non-persistent."""
-
-
-class SqliteBackend(CacheBackend):
-    """The WAL-mode sqlite file store (single host, many processes)."""
-
-    name = "sqlite"
-
-    def __init__(self, cache_dir: str) -> None:
-        super().__init__()
-        self._path = Path(cache_dir) / _DB_NAME
-        self._conn: Optional[sqlite3.Connection] = None
-        self._open()
-
-    # -- connection management -------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        """One configured connection: WAL for multi-process readers/writers,
-        a busy timeout so concurrent commits wait instead of erroring."""
-        conn = sqlite3.connect(str(self._path), check_same_thread=False)
-        # WAL probes the file header, so a corrupt file fails here (as a
-        # DatabaseError) before any query runs.
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_MS)}")
-        return conn
-
-    def _create_tables(self, conn: sqlite3.Connection) -> None:
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta "
-            "(key TEXT PRIMARY KEY, value TEXT)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS results "
-            "(key TEXT PRIMARY KEY, payload BLOB, created REAL)"
-        )
-
-    def _open(self) -> None:
-        """Open (or rebuild) the sqlite file; never raises."""
-        try:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            conn = self._connect()
-            self._create_tables(conn)
-            stamps = dict(conn.execute("SELECT key, value FROM meta"))
-            expected = {
-                "schema_version": SCHEMA_VERSION,
-                "canon_version": CANON_VERSION,
-            }
-            if stamps and stamps != expected:
-                conn.close()
-                self._discard_file()
-                conn = self._connect()
-                self._create_tables(conn)
-                stamps = {}
-            if not stamps:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                    sorted(expected.items()),
-                )
-                conn.commit()
-            self._conn = conn
-        except sqlite3.OperationalError:
-            # Transient (locked/busy/unopenable): run memory-only for now,
-            # but leave the shared file alone — another process may be
-            # using it perfectly well.
-            self.transient_errors += 1
-            self._conn = None
-        except (sqlite3.Error, OSError):
-            self._recover()
-
-    def _discard_file(self) -> None:
-        self.recoveries += 1
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.unlink(str(self._path) + suffix)
-            except OSError:
-                pass
-
-    def _degrade(self) -> None:
-        """A transient failure (``database is locked``, I/O hiccup): count
-        it, roll back any half-open transaction, and move on.  The file is
-        shared state other processes rely on — never delete it for this."""
-        self.transient_errors += 1
-        if self._conn is not None:
-            try:
-                self._conn.rollback()
-            except sqlite3.Error:
-                pass
-
-    def _recover(self) -> None:
-        """Genuine corruption: throw the file away and start over; give up
-        disk on repeat failure."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-        self._discard_file()
-        try:
-            conn = self._connect()
-            self._create_tables(conn)
-            conn.executemany(
-                "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                sorted(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "canon_version": CANON_VERSION,
-                    }.items()
-                ),
-            )
-            conn.commit()
-            self._conn = conn
-        except (sqlite3.Error, OSError):
-            self._conn = None  # run memory-only from here on
-
-    # -- CacheBackend ------------------------------------------------------
-
-    @property
-    def persistent(self) -> bool:
-        return self._conn is not None
-
-    def load(self, key: str) -> Optional[bytes]:
-        if self._conn is None:
-            return None
-        try:
-            row = self._conn.execute(
-                "SELECT payload FROM results WHERE key = ?", (key,)
-            ).fetchone()
-        except sqlite3.OperationalError:
-            self._degrade()
-            return None
-        except sqlite3.Error:
-            self._recover()
-            return None
-        return row[0] if row is not None else None
-
-    def store(self, key: str, payload: bytes) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
-                (key, payload, time.time()),
-            )
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
-
-    def delete(self, key: str) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
-
-    def clear(self) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute("DELETE FROM results")
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
-
-    def count(self) -> int:
-        if self._conn is None:
-            return 0
-        try:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()[0]
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
-        return 0
-
-    def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-
-
-class ShardedDirBackend(CacheBackend):
-    """One file per entry under 256 hash-prefix shards — lock-free, NFS-safe.
-
-    Layout: ``<cache_dir>/repro-cache-shards-v<schema>-c<canon>/<hh>/<hash>``
-    where ``hh`` is the first byte of the key's sha256 (256-way fan-out
-    keeps directory listings short on large catalogs) and ``hash`` the
-    full digest.  Writes go to a unique temp file in the shard and land
-    via ``os.replace`` — atomic on POSIX, so readers see either nothing
-    or a complete payload and concurrent writers simply race to publish
-    the same answer.  No byte-range locks are ever taken, which is what
-    makes this layout safe on NFS and other shared mounts where sqlite's
-    POSIX locking is famously broken.
-
-    Version invalidation is structural: the schema/canon stamps live in
-    the root directory's *name*, so a version bump just starts an empty
-    directory and the stale one is ignored.
-    """
-
-    name = "sharded"
-
-    def __init__(self, cache_dir: str) -> None:
-        super().__init__()
-        self.root = (
-            Path(cache_dir)
-            / f"repro-cache-shards-v{SCHEMA_VERSION}-c{CANON_VERSION}"
-        )
-        self._available = False
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._available = True
-        except OSError:
-            self.transient_errors += 1
-
-    def _path_for(self, key: str) -> Path:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.root / digest[:2] / digest
-
-    @property
-    def persistent(self) -> bool:
-        return self._available
-
-    def load(self, key: str) -> Optional[bytes]:
-        if not self._available:
-            return None
-        try:
-            return self._path_for(key).read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.transient_errors += 1
-            return None
-
-    def store(self, key: str, payload: bytes) -> None:
-        if not self._available:
-            return
-        path = self._path_for(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(payload)
-            os.replace(tmp, path)
-        except OSError:
-            self.transient_errors += 1
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-
-    def delete(self, key: str) -> None:
-        try:
-            self._path_for(key).unlink()
-        except FileNotFoundError:
-            pass
-        except OSError:
-            self.transient_errors += 1
-
-    def clear(self) -> None:
-        if not self._available:
-            return
-        try:
-            for shard in self.root.iterdir():
-                if not shard.is_dir():
-                    continue
-                for entry in shard.iterdir():
-                    try:
-                        entry.unlink()
-                    except OSError:
-                        self.transient_errors += 1
-        except OSError:
-            self.transient_errors += 1
-
-    def count(self) -> int:
-        if not self._available:
-            return 0
-        total = 0
-        try:
-            for shard in self.root.iterdir():
-                if not shard.is_dir():
-                    continue
-                total += sum(
-                    1
-                    for entry in shard.iterdir()
-                    if not entry.name.endswith(".tmp")
-                )
-        except OSError:
-            self.transient_errors += 1
-        return total
-
-    def close(self) -> None:
-        self._available = False
-
-
-#: name -> factory(cache_dir) for disk-backed stores; ``"memory"`` is
-#: handled by the front (no backend object at all).
-BACKENDS: Dict[str, Callable[[str], CacheBackend]] = {
-    "sqlite": SqliteBackend,
-    "sharded": ShardedDirBackend,
-}
-
-
-def register_backend(
-    name: str, factory: Callable[[str], CacheBackend]
-) -> None:
-    """Admit a custom :class:`CacheBackend` under *name* (e.g. a networked
-    store); it becomes selectable via ``ResultCache(backend=name)`` and
-    the CLI's ``--cache-backend``."""
-    BACKENDS[name] = factory
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Every selectable backend name, ``"memory"`` first."""
-    return ("memory", *sorted(BACKENDS))
-
-
-class ResultCache:
-    """A two-level (LRU memory, pluggable disk backend) store for results.
-
-    ``cache_dir=None`` (or ``backend="memory"``) gives a memory-only
-    cache.  All operations are total: lookups return ``(found, value)``
-    and failures of the disk layer only ever cost performance, never
-    correctness.
-
-    *backend* selects the disk layer: a registry name from
-    :func:`available_backends`, or a ready :class:`CacheBackend` instance
-    (in which case *cache_dir* is ignored).
+    ``cache_dir=None`` gives a memory-only cache.  All operations are
+    total: lookups return ``(found, value)`` and failures of the disk
+    layer only ever cost performance, never correctness.
     """
 
     def __init__(
@@ -459,55 +57,22 @@ class ResultCache:
         cache_dir: Optional[str] = None,
         memory_size: int = 4096,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Any = "sqlite",
     ) -> None:
         self._lock = RLock()
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         self._memory_size = max(1, memory_size)
         self.metrics = metrics or MetricsRegistry()
-        self._backend: Optional[CacheBackend]
-        if isinstance(backend, CacheBackend):
-            self._backend = backend
-        elif backend == "memory" or cache_dir is None:
-            self._backend = None
-        elif isinstance(backend, str):
-            try:
-                factory = BACKENDS[backend]
-            except KeyError:
-                raise ValueError(
-                    f"unknown cache backend {backend!r}; "
-                    f"choose from {', '.join(available_backends())}"
-                ) from None
-            self._backend = factory(cache_dir)
-        else:
-            raise TypeError(
-                f"backend must be a name or CacheBackend, got {backend!r}"
-            )
+        self._store = SqliteStore(
+            os.path.join(cache_dir, _DB_NAME) if cache_dir is not None else None,
+            _DDL,
+            table="results",
+            schema_version=SCHEMA_VERSION,
+        )
         registry.register_instance_cache(
             "engine.result_cache", self, "clear_memory"
         )
 
     # -- public API ------------------------------------------------------
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name if self._backend is not None else "memory"
-
-    @property
-    def persistent(self) -> bool:
-        return self._backend is not None and self._backend.persistent
-
-    @property
-    def recoveries(self) -> int:
-        return self._backend.recoveries if self._backend is not None else 0
-
-    @property
-    def transient_errors(self) -> int:
-        return (
-            self._backend.transient_errors
-            if self._backend is not None
-            else 0
-        )
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Look *key* up; returns ``(found, value)``."""
@@ -516,19 +81,22 @@ class ResultCache:
                 self._memory.move_to_end(key)
                 self.metrics.counter("cache.memory_hits").inc()
                 return True, self._memory[key]
-            if self._backend is not None:
-                payload = self._backend.load(key)
-                if payload is not None:
-                    try:
-                        value = pickle.loads(payload)
-                    except Exception:
-                        # A payload we cannot decode is useless to every
-                        # process — drop the entry, serve a miss.
-                        self._backend.delete(key)
-                    else:
-                        self._remember(key, value)
-                        self.metrics.counter("cache.disk_hits").inc()
-                        return True, value
+            rows = self._store.read(
+                "SELECT payload FROM results WHERE key = ?", (key,)
+            )
+            if rows:
+                try:
+                    value = pickle.loads(rows[0][0])
+                except Exception:
+                    # A payload we cannot decode is useless to every
+                    # process — drop the entry, serve a miss.
+                    self._store.write(
+                        ("DELETE FROM results WHERE key = ?", [(key,)])
+                    )
+                else:
+                    self._remember(key, value)
+                    self.metrics.counter("cache.disk_hits").inc()
+                    return True, value
             self.metrics.counter("cache.misses").inc()
             return False, None
 
@@ -536,12 +104,13 @@ class ResultCache:
         """Store *value* under *key* in both layers (best effort on disk)."""
         with self._lock:
             self._remember(key, value)
-            if self._backend is not None:
-                try:
-                    payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                except Exception:
-                    return  # unpicklable values live in memory only
-                self._backend.store(key, payload)
+            if not self._store.persistent:
+                return
+            try:
+                payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                return  # unpicklable values live in memory only
+            self._write_payload(key, payload)
 
     def clear_memory(self) -> None:
         """Empty the in-memory layer (the disk layer persists)."""
@@ -552,24 +121,21 @@ class ResultCache:
         """Empty both layers."""
         with self._lock:
             self._memory.clear()
-            if self._backend is not None:
-                self._backend.clear()
+            self._store.write(("DELETE FROM results", [()]))
 
     def stats(self) -> dict:
         """Hit/miss counters plus sizes, as plain data."""
         with self._lock:
-            disk_rows = (
-                self._backend.count() if self._backend is not None else 0
-            )
+            rows = self._store.read("SELECT COUNT(*) FROM results")
             snap = self.metrics.snapshot()
             memory_hits = snap.get("cache.memory_hits", 0)
             disk_hits = snap.get("cache.disk_hits", 0)
             misses = snap.get("cache.misses", 0)
             lookups = memory_hits + disk_hits + misses
             return {
-                "backend": self.backend_name,
+                "backend": "memory" if self._store.path is None else "sqlite",
                 "memory_entries": len(self._memory),
-                "disk_entries": disk_rows,
+                "disk_entries": rows[0][0] if rows else 0,
                 "memory_hits": memory_hits,
                 "disk_hits": disk_hits,
                 "misses": misses,
@@ -583,10 +149,17 @@ class ResultCache:
 
     def close(self) -> None:
         with self._lock:
-            if self._backend is not None:
-                self._backend.close()
+            self._store.close()
 
     # -- internals -------------------------------------------------------
+
+    def _write_payload(self, key: str, payload: bytes) -> None:
+        self._store.write(
+            (
+                "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
+                [(key, payload, time.time())],
+            )
+        )
 
     def _remember(self, key: str, value: Any) -> None:
         self._memory[key] = value

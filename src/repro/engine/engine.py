@@ -62,15 +62,9 @@ class BatchEngine:
         scheduler's serial thread — deterministic, no subprocesses.
     task_timeout:
         Per-task wall-clock limit in seconds, enforced when ``workers > 1``.
-    cache_backend:
-        Disk layer under the LRU: a name from
-        :func:`repro.engine.cache.available_backends` (``"sqlite"``,
-        ``"sharded"``, ``"memory"``) or a ready
-        :class:`~repro.engine.cache.CacheBackend` instance.
     cache:
         A pre-built :class:`~repro.engine.cache.ResultCache` to use
-        as-is (``cache_dir``/``cache_backend``/``memory_cache_size`` are
-        then ignored).
+        as-is (``cache_dir``/``memory_cache_size`` are then ignored).
     catalog:
         Cross-session equivalence catalog: a path for a persistent
         :class:`~repro.engine.catalog.OMQCatalog`, a ready instance, or
@@ -81,13 +75,16 @@ class BatchEngine:
         Cross-session store of NOT_CONTAINED counterexamples: a path for
         a persistent :class:`~repro.engine.witness_store.WitnessStore`, a
         ready instance, or ``None`` (off).  Containment jobs then replay
-        stored witnesses (at most two cheap hom-checks) ahead of the
-        catalog and the full decision procedure, and every NOT_CONTAINED
-        verdict deposits its signature-keyed witness for future sessions.
+        stored witnesses — the exact pair ahead of the catalog, the
+        cross-pair scan (at most two cheap hom-checks per candidate)
+        after the cache — instead of running the full decision
+        procedure, and every NOT_CONTAINED verdict deposits its
+        signature-keyed witness for future sessions.
     witness_replay:
-        Replay-mode override for the store — ``"exact"`` (hash-equal
-        rungs only), ``"structural"`` (adds signature-keyed subsumption
-        replay; the default for path-built stores), or ``"off"``.
+        Replay-mode override for the store — ``"exact"`` (the exact pair
+        and same-LHS/same-RHS candidates only), ``"structural"`` (adds
+        signature-keyed candidates; the default for path-built stores),
+        or ``"off"``.
         ``None`` leaves a ready store instance's own mode untouched.
     max_inflight / aging_interval:
         Scheduler tuning: dispatch-window width (default: worker count)
@@ -120,7 +117,6 @@ class BatchEngine:
         metrics: Optional[MetricsRegistry] = None,
         start_method: Optional[str] = None,
         trace: Union[None, str, TraceConfig] = None,
-        cache_backend: Any = "sqlite",
         cache: Optional[ResultCache] = None,
         catalog: Union[None, str, OMQCatalog] = None,
         witness_store: Union[None, str, WitnessStore] = None,
@@ -132,10 +128,7 @@ class BatchEngine:
     ) -> None:
         self.metrics = metrics or MetricsRegistry()
         self.cache = cache if cache is not None else ResultCache(
-            cache_dir,
-            memory_cache_size,
-            metrics=self.metrics,
-            backend=cache_backend,
+            cache_dir, memory_cache_size, metrics=self.metrics
         )
         if isinstance(catalog, (str, bytes)) or hasattr(catalog, "__fspath__"):
             catalog = OMQCatalog(str(catalog))
@@ -197,8 +190,9 @@ class BatchEngine:
         submitter: str = "default",
         deadline: Optional[float] = None,
     ) -> JobHandle:
-        """Enqueue *job* without blocking; resolves from the catalog,
-        cache, an α-equivalent in-flight computation, or a worker.
+        """Enqueue *job* without blocking; resolves from the witness
+        store, the catalog, the cache, an α-equivalent in-flight
+        computation, or a worker.
         *priority* and *submitter* feed the scheduler's class-based,
         weighted-fair-share dispatch order; *deadline* (seconds) arms
         the scheduler's degradation policy."""

@@ -4,8 +4,15 @@ The batch engine's ``run_batch`` answers "run these N jobs and wait";
 this module is the service-shaped layer underneath it and beside it:
 :meth:`Scheduler.submit` enqueues one job *without blocking* and returns
 a :class:`JobHandle` that resolves when the job's result exists — from
-the catalog, from the cache, from a worker, or from somebody else's
-identical in-flight computation.
+the witness store, the catalog or the cache, from a worker, or from
+somebody else's identical in-flight computation.
+
+**The lookup ladder.**  Every hash-keyed tier answers before any
+evaluation runs: the exact witness pair (one dict probe), then catalog
+equivalence, then the result cache.  Only when all three miss does the
+witness store's cross-pair scan hom-check stored witnesses against the
+job — so a cached answer never pays for checks whose result it cannot
+use — and only then does the job coalesce, queue and dispatch.
 
 **Dedup** is the original point.  Real OMQ catalogs are full of
 α-equivalent queries (renamed variables, reordered atoms/rules — the
@@ -128,9 +135,10 @@ class DeadlinePolicy:
     """How the scheduler spends a caller's latency budget.
 
     A submission carrying ``deadline`` (seconds of budget) walks the cheap
-    ladder first — catalog equivalence, then the result cache, then
-    coalescing onto an identical in-flight computation — all of which are
-    (near-)free.  Only when the ladder misses does the policy decide
+    ladder first — the exact witness pair, catalog equivalence, the
+    result cache, the bounded cross-pair witness scan, then coalescing
+    onto an identical in-flight computation — all far cheaper than a
+    decision.  Only when the ladder misses does the policy decide
     whether a *fresh* decision procedure fits the budget:
 
     * the estimated cost of a fresh run is the per-kind EWMA of observed
@@ -278,9 +286,10 @@ class Scheduler:
         verdict feedback for containment jobs.
     witness_store:
         A :class:`~repro.engine.witness_store.WitnessStore`; containment
-        submissions first try to *replay* a stored NOT_CONTAINED witness
-        (ahead of the catalog short-circuit), and every fresh or cached
-        NOT_CONTAINED verdict deposits its witness for future sessions.
+        submissions probe it for their exact pair first (ahead of the
+        catalog short-circuit) and scan it for cross-pair witnesses
+        after the cache misses, and every fresh or cached NOT_CONTAINED
+        verdict deposits its witness for future sessions.
     max_inflight:
         The dispatch window — how many flights may sit in the pool at
         once.  Defaults to the pool's worker count, which keeps every
@@ -373,10 +382,10 @@ class Scheduler:
     ) -> JobHandle:
         """Enqueue *job*; returns immediately with its handle.
 
-        Resolution order: catalog equivalence short-circuit, result
-        cache (α-equivalent inputs hit), coalescing onto an in-flight
-        computation with the same canonical key, then the priority queue
-        and the pool.
+        Resolution order: the exact witness pair, catalog equivalence,
+        the result cache (α-equivalent inputs hit), the witness store's
+        cross-pair scan, coalescing onto an in-flight computation with
+        the same canonical key, then the priority queue and the pool.
 
         *deadline* is a latency budget in seconds.  The cheap rungs above
         always run; a fresh dispatch is admitted only when the budget
@@ -387,14 +396,12 @@ class Scheduler:
         """
         priority = _coerce_priority(priority)
         self.metrics.counter("engine.scheduler.submitted").inc()
-        if self.witness_store is not None:
-            shortcut = self._witness_shortcut(job)
-            if shortcut is not None:
-                return shortcut
-        if self.catalog is not None:
-            shortcut = self._catalog_shortcut(job)
-            if shortcut is not None:
-                return shortcut
+        store = self.witness_store
+        value = store.lookup(job) if store is not None else None
+        if value is None and self.catalog is not None:
+            value = self._catalog_equivalence(job)
+        if value is not None:
+            return self._answered(JobHandle(job, job.cache_key(), self), value)
         key = self.effective_key(job)
         handle = JobHandle(job, key, self)
         if key is not None:
@@ -402,9 +409,11 @@ class Scheduler:
             if found:
                 self.metrics.counter(f"engine.{job.kind}.cache_hits").inc()
                 self._note_verdict(job, value)
-                handle._resolve(JobResult(job, value, cached=True))
-                self.metrics.counter("engine.scheduler.completed").inc()
-                return handle
+                return self._answered(handle, value)
+        if store is not None:
+            value = store.replay(job)
+            if value is not None:
+                return self._answered(handle, value)
         coalesced = False
         degraded = False
         with self._lock:
@@ -641,10 +650,17 @@ class Scheduler:
             ):
                 self.metrics.counter("engine.scheduler.completed").inc()
 
-    # -- catalog ----------------------------------------------------------
+    # -- the cheap ladder ---------------------------------------------------
 
-    def _catalog_shortcut(self, job: Any) -> Optional[JobHandle]:
-        """An already-resolved handle if the catalog proves the answer."""
+    def _answered(self, handle: JobHandle, value: Any) -> JobHandle:
+        """*handle*, resolved now with *value* from one of the tiers."""
+        handle._resolve(JobResult(handle.job, value, cached=True))
+        self.metrics.counter("engine.scheduler.completed").inc()
+        return handle
+
+    def _catalog_equivalence(self, job: Any) -> Any:
+        """A CONTAINED result if the catalog puts both sides of *job* in
+        one proven-equivalent group, else ``None``."""
         assert self.catalog is not None
         if getattr(job, "kind", None) != "containment":
             return None
@@ -655,35 +671,11 @@ class Scheduler:
             return None
         from ..containment.result import contained
 
-        value = contained(
+        self.metrics.counter("engine.catalog.short_circuits").inc()
+        return contained(
             "catalog-equivalence",
             "both OMQs are members of one proven-equivalent catalog group",
         )
-        self.metrics.counter("engine.catalog.short_circuits").inc()
-        handle = JobHandle(job, job.cache_key(), self)
-        handle._resolve(JobResult(job, value, cached=True))
-        self.metrics.counter("engine.scheduler.completed").inc()
-        return handle
-
-    def _witness_shortcut(self, job: Any) -> Optional[JobHandle]:
-        """An already-resolved handle if a stored witness refutes *job*.
-
-        Runs ahead of the catalog short-circuit, fixing the shortcut
-        ladder at exact → structural → catalog → cache: an exact-pair
-        replay is one dict probe, a hash-rung cross-pair replay is at
-        most ``scan_limit`` single-side evaluations, and a structural
-        (signature-keyed) replay is at most ``scan_limit`` budget-capped
-        two-side re-confirmations — all far cheaper than the full
-        decision procedure the miss path would eventually dispatch.
-        """
-        assert self.witness_store is not None
-        value = self.witness_store.replay(job)
-        if value is None:
-            return None
-        handle = JobHandle(job, job.cache_key(), self)
-        handle._resolve(JobResult(job, value, cached=True))
-        self.metrics.counter("engine.scheduler.completed").inc()
-        return handle
 
     def _note_verdict(self, job: Any, value: Any) -> None:
         """Feed a decided verdict back into the durable layers.

@@ -9,92 +9,92 @@ re-decision of that pair (and of many structurally different pairs) into
 at most two homomorphism-search evaluations instead of a full 2EXPTIME
 decision procedure.
 
-Replay ladder for a candidate pair ``(h1, h2)`` (mirrored by the
-scheduler's own ordering exact → structural → catalog → cache):
+Two lookups, at two places in the scheduler's ladder (exact witness →
+catalog → result cache → cross-pair scan):
 
-1. **Exact pair** — a stored witness under exactly ``(h1, h2)`` is
-   returned with *zero* evaluations.  Canonical hashes are isomorphism
-   invariant and NOT_CONTAINED verdicts are only ever produced exactly
-   (budget exhaustion yields UNKNOWN, never NOT_CONTAINED), so the stored
-   fact ``c̄ ∈ Q1(D)`` and ``c̄ ∉ Q2(D)`` is a semantic fact about this
-   very pair — independent of the chase/rewriting budgets either session
-   used.
-2. **Same LHS** (bounded scan): a witness stored for ``(h1, h2')`` already
-   proves ``c̄ ∈ Q1(D)``; only ``c̄ ∉ Q2(D)`` needs checking, and only an
-   *exact* negative evaluation counts (inexact evaluation
-   under-approximates, mirroring ``small_witness.py``).
-3. **Same RHS** (bounded scan): a witness stored for ``(h1', h2)`` already
-   proves ``c̄ ∉ Q2(D)``; only membership ``c̄ ∈ Q1(D)`` needs checking,
-   which is sound even from an inexact (under-approximating) evaluation.
-4. **Structural** (``replay_mode="structural"``, the default): witnesses
-   stored under the *same predicate-signature pair* — the set of
-   (predicate, arity) pairs each side mentions, see
-   :func:`omq_signature` — but under *different* canonical hashes.
-   Nothing about the stored pair transfers to the candidate, so **both**
-   facts are re-established fresh with the kernel hom-search:
+1. **Exact pair** (:meth:`WitnessStore.lookup`) — a stored witness under
+   exactly ``(h1, h2)`` is returned with *zero* evaluations.  Canonical
+   hashes are isomorphism invariant and NOT_CONTAINED verdicts are only
+   ever produced exactly (budget exhaustion yields UNKNOWN, never
+   NOT_CONTAINED), so the stored fact ``c̄ ∈ Q1(D)`` and ``c̄ ∉ Q2(D)``
+   is a semantic fact about this very pair — independent of the
+   chase/rewriting budgets either session used.
+2. **Cross-pair scan** (:meth:`WitnessStore.replay`, after the exact
+   probe) — one bounded candidate list: witnesses stored under the same
+   LHS hash, then the same RHS hash (at most ``scan_limit`` together),
+   then, with ``replay_mode="structural"`` (the default), under the same
+   *predicate-signature pair* (:func:`omq_signature`; at most
+   ``scan_limit`` more).  Every candidate gets one check that evaluates
+   only the sides whose canonical hash differs from the stored pair's:
 
-   * ``c̄ ∈ Q1_cand(D)`` — the candidate LHS maps homomorphically into
-     the stored witness's certain answers.  Sound even from an inexact
-     evaluation (a truncated chase under-approximates the certain
-     answers, so membership in the approximation implies membership).
-   * ``c̄ ∉ Q2_cand(D)`` — the stored witness still refutes the
-     candidate RHS.  Only an *exact* negative evaluation counts.
+   * ``c̄ ∈ Q1_cand(D)`` — stored fact when the LHS hash matches;
+     otherwise a fresh evaluation, sound even when inexact (a truncated
+     chase under-approximates the certain answers, so membership in the
+     approximation implies membership);
+   * ``c̄ ∉ Q2_cand(D)`` — stored fact when the RHS hash matches;
+     otherwise a fresh evaluation that counts only when *exact*.
 
-   Each check runs under ``min(job budget, replay_budget)``; a blown
-   budget makes the negative evaluation inexact, which degrades that
-   candidate to a miss — structural replay can stall, never lie.
+   A candidate matching one side hash runs under the job's own budgets;
+   a *structural* candidate (neither side matches) runs under
+   ``min(job budget, replay_budget)``, and a blown budget makes its
+   negative evaluation inexact — structural replay can stall, never lie.
 
-A cross-pair hit is re-recorded under the candidate pair, so the second
-time around it is an exact hit.  Any failure during a candidate check —
-schema mismatch, budget blow-up, a corrupted row — degrades that
-candidate to a miss; replay never raises.
+A cross-pair hit is re-recorded under the candidate pair (origin
+``hash-replay`` or ``structural-replay``), so the second time around it
+is an exact hit.  Any failure during a candidate check — schema
+mismatch, budget blow-up, a corrupted row — degrades that candidate to a
+miss; replay never raises.
 
-Persistence mirrors the catalog's robustness contract: sqlite WAL +
-busy timeout, ``meta`` stamps (schema version + canon version — a canon
-bump makes every stored hash a dead dialect, so the file is discarded and
-rebuilt; the schema-v1 → v2 signature-column migration rides the same
-stamp, so a v1 store degrades to an empty rebuild, never to a replay
-attempt over unkeyed rows), transient errors degrade to memory-only
-operation, genuine corruption discards and rebuilds, and undecodable rows
-are skipped, never fatal.  The in-memory index follows the kernel intern
-table's generation-stamped rebuild contract (PR 7): ``repro.clear_caches()``
-and any :meth:`InternTable.clear` bump trigger a lazy :meth:`reload` from
-the serialized documents, so no deserialized object outlives an
+Persistence is the durable-store contract of :mod:`repro.engine.store`
+over one ``witnesses`` table.  The schema-v1 → v2 signature-column
+migration rides the stamp, so a v1 store is discarded and rebuilt empty,
+never replayed over unkeyed rows; undecodable rows are skipped, never
+fatal.  The in-memory index follows the kernel intern table's
+generation-stamped rebuild contract: ``repro.clear_caches()`` and
+any :meth:`InternTable.clear` bump trigger a lazy :meth:`reload` from the
+serialized documents, so no deserialized object outlives an
 invalidation.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain, islice
 from threading import RLock
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..containment.result import ContainmentResult, Witness, not_contained
 from ..core.serialize import witness_from_json, witness_to_json
 from ..kernel.instance import instance_signature
 from ..kernel.intern import INTERN
-from .canon import CANON_VERSION
 from .metrics import MetricsRegistry
 from .registry import register_instance_cache, unregister_cache
+from .store import ReadOnlyStore, SqliteStore, StoreBacked, StoreError
 
 #: Bump when the witness store's sqlite layout changes.  "2" added the
 #: per-side predicate-signature columns and the provenance column; a "1"
 #: store is discarded and rebuilt (the stamp contract), never replayed.
 WITNESS_SCHEMA_VERSION = "2"
 
-#: How a store answers :meth:`WitnessStore.replay`:
-#: ``exact`` — hash-equal rungs only (the PR 8 pair memo);
-#: ``structural`` — hash rungs plus signature-keyed subsumption replay;
+#: How a store answers :meth:`WitnessStore.lookup` and
+#: :meth:`WitnessStore.replay`:
+#: ``exact`` — the exact pair and the same-LHS/same-RHS candidates only;
+#: ``structural`` — also signature-keyed candidates;
 #: ``off`` — never replay (recording still works).
 REPLAY_MODES = ("exact", "structural", "off")
 
-#: How long a connection waits on a locked store before giving up.
-_BUSY_TIMEOUT_MS = 5_000
+_DDL = (
+    "CREATE TABLE IF NOT EXISTS witnesses "
+    "(lhs TEXT, rhs TEXT, lhs_sig TEXT DEFAULT '', "
+    "rhs_sig TEXT DEFAULT '', origin TEXT DEFAULT 'decided', "
+    "doc TEXT, PRIMARY KEY (lhs, rhs))",
+    "CREATE INDEX IF NOT EXISTS witnesses_by_signature "
+    "ON witnesses (lhs_sig, rhs_sig)",
+)
+
+_COLUMNS = "lhs, rhs, lhs_sig, rhs_sig, origin, doc"
 
 
 def omq_signature(omq: Any) -> str:
@@ -146,7 +146,26 @@ class StoredWitness:
     witness: Witness
 
 
-class WitnessStore:
+def _decode(row: Iterable[Any]) -> Optional[StoredWitness]:
+    """One stored row as a :class:`StoredWitness`, or ``None`` when its
+    document does not parse (a bad row is skipped, never fatal)."""
+    lhs, rhs, lhs_sig, rhs_sig, origin, doc = row
+    try:
+        witness = witness_from_json(json.loads(doc))
+    except Exception:
+        return None
+    return StoredWitness(
+        str(lhs),
+        str(rhs),
+        str(lhs_sig or ""),
+        str(rhs_sig or ""),
+        str(origin or "decided"),
+        str(doc),
+        witness,
+    )
+
+
+class WitnessStore(StoreBacked):
     """Persistent structural index of NOT_CONTAINED witnesses.
 
     ``path=None`` keeps the store in memory (still useful within one
@@ -160,14 +179,15 @@ class WitnessStore:
         Cap on stored witnesses; the oldest entry is evicted first
         (``engine.witness.evictions``).
     scan_limit:
-        How many candidates each cross-pair rung (same-LHS/same-RHS, and
-        separately the structural rung) may hom-check after the
-        exact-pair probe misses.  Bounds the inline work a submission can
-        spend before falling through to the full decision procedure.
+        How many candidates the cross-pair scan may check per part —
+        same-LHS/same-RHS together, and signature-keyed separately —
+        after the exact-pair probe misses.  Bounds the inline work a
+        submission can spend before falling through to the full
+        decision procedure.
     replay_mode:
         One of :data:`REPLAY_MODES`; ``"structural"`` by default.
     replay_budget:
-        Per-evaluation step cap for the structural rung's two fresh
+        Per-evaluation step cap for structural candidates' two fresh
         checks (``min``-ed with the job's own budgets).  A check the
         budget cannot settle degrades that candidate to a miss.
     metrics:
@@ -206,15 +226,19 @@ class WitnessStore:
         #: (lhs_sig, rhs_sig) -> keys; rows with an empty signature on
         #: either side never enter (they cannot be structurally matched).
         self._by_signature: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
-        self.recoveries = 0
-        self.transient_errors = 0
         self.skipped_rows = 0
         self.replay_errors = 0
         self._generation = INTERN.generation
-        self._path = Path(path) if path is not None else None
-        self._conn: Optional[sqlite3.Connection] = None
-        if self._path is not None:
-            self._open()
+        self._store = SqliteStore(
+            path,
+            _DDL,
+            table="witnesses",
+            schema_version=WITNESS_SCHEMA_VERSION,
+        )
+        for row in self._store.read(
+            f"SELECT {_COLUMNS} FROM witnesses ORDER BY rowid"
+        ):
+            self._index_decoded(row)
         # clear_caches() reloads (re-deserializes) the in-memory index; it
         # never discards the durable facts.  Weakly registered, so a
         # closed-and-dropped store unregisters itself.
@@ -228,152 +252,14 @@ class WitnessStore:
         if self.metrics is not None and value:
             self.metrics.counter(name).inc(value)
 
-    # -- persistence ------------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        assert self._path is not None
-        conn = sqlite3.connect(str(self._path), check_same_thread=False)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_MS)}")
-        return conn
-
-    def _create_tables(self, conn: sqlite3.Connection) -> None:
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta "
-            "(key TEXT PRIMARY KEY, value TEXT)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS witnesses "
-            "(lhs TEXT, rhs TEXT, lhs_sig TEXT DEFAULT '', "
-            "rhs_sig TEXT DEFAULT '', origin TEXT DEFAULT 'decided', "
-            "doc TEXT, PRIMARY KEY (lhs, rhs))"
-        )
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS witnesses_by_signature "
-            "ON witnesses (lhs_sig, rhs_sig)"
-        )
-
-    def _expected_stamps(self) -> Dict[str, str]:
-        return {
-            "schema_version": WITNESS_SCHEMA_VERSION,
-            "canon_version": CANON_VERSION,
-        }
-
-    def _open(self) -> None:
-        """Open (or rebuild) the store file and load it; never raises."""
-        assert self._path is not None
-        try:
-            if self._path.parent != Path(""):
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-            conn = self._connect()
-            self._create_tables(conn)
-            stamps = dict(conn.execute("SELECT key, value FROM meta"))
-            if stamps and stamps != self._expected_stamps():
-                # A canon or schema bump means every stored row speaks a
-                # dead dialect: discard, don't migrate.  Replay over an
-                # empty rebuild is an honest miss — a mismatched store is
-                # never consulted, structurally or otherwise.
-                conn.close()
-                self._discard_file()
-                conn = self._connect()
-                self._create_tables(conn)
-                stamps = {}
-            if not stamps:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                    sorted(self._expected_stamps().items()),
-                )
-                conn.commit()
-            for lhs, rhs, lhs_sig, rhs_sig, origin, doc in conn.execute(
-                "SELECT lhs, rhs, lhs_sig, rhs_sig, origin, doc "
-                "FROM witnesses ORDER BY rowid"
-            ):
-                record = self._decode(
-                    str(lhs),
-                    str(rhs),
-                    str(lhs_sig or ""),
-                    str(rhs_sig or ""),
-                    str(origin or "decided"),
-                    str(doc),
-                )
-                if record is not None:
-                    self._index_locked(record)
-            self._conn = conn
-        except sqlite3.OperationalError:
-            self.transient_errors += 1
-            self._conn = None
-        except (sqlite3.Error, OSError):
-            self._recover()
-
-    def _decode(
-        self,
-        lhs: str,
-        rhs: str,
-        lhs_sig: str,
-        rhs_sig: str,
-        origin: str,
-        doc: str,
-    ) -> Optional[StoredWitness]:
-        """Parse one stored row; a bad row is skipped, never fatal."""
-        try:
-            witness = witness_from_json(json.loads(doc))
-        except Exception:
-            self.skipped_rows += 1
-            return None
-        return StoredWitness(lhs, rhs, lhs_sig, rhs_sig, origin, doc, witness)
-
-    def _discard_file(self) -> None:
-        assert self._path is not None
-        self.recoveries += 1
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.unlink(str(self._path) + suffix)
-            except OSError:
-                pass
-
-    def _degrade(self) -> None:
-        self.transient_errors += 1
-        if self._conn is not None:
-            try:
-                self._conn.rollback()
-            except sqlite3.Error:
-                pass
-
-    def _recover(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-        if self._path is None:
-            return
-        self._discard_file()
-        try:
-            conn = self._connect()
-            self._create_tables(conn)
-            conn.executemany(
-                "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                sorted(self._expected_stamps().items()),
-            )
-            conn.commit()
-            self._conn = conn
-        except (sqlite3.Error, OSError):
-            self._conn = None  # memory-only from here on
-
-    def _persist(self, sql: str, rows: List[tuple]) -> None:
-        """Best-effort write-through of one statement over *rows*."""
-        if self._conn is None:
-            return
-        try:
-            self._conn.executemany(sql, rows)
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
-
     # -- the in-memory index ----------------------------------------------
+
+    def _index_decoded(self, row: Iterable[Any]) -> None:
+        record = _decode(row)
+        if record is None:
+            self.skipped_rows += 1
+        else:
+            self._index_locked(record)
 
     def _index_locked(self, record: StoredWitness) -> None:
         key = (record.lhs, record.rhs)
@@ -429,23 +315,19 @@ class WitnessStore:
         self._by_rhs = {}
         self._by_signature = {}
         for stale in old:
-            record = self._decode(
-                stale.lhs,
-                stale.rhs,
-                stale.lhs_sig,
-                stale.rhs_sig,
-                stale.origin,
-                stale.doc,
+            self._index_decoded(
+                (
+                    stale.lhs,
+                    stale.rhs,
+                    stale.lhs_sig,
+                    stale.rhs_sig,
+                    stale.origin,
+                    stale.doc,
+                )
             )
-            if record is not None:
-                self._index_locked(record)
         self._generation = INTERN.generation
 
     # -- public API -------------------------------------------------------
-
-    @property
-    def persistent(self) -> bool:
-        return self._conn is not None
 
     def __len__(self) -> int:
         with self._lock:
@@ -469,8 +351,8 @@ class WitnessStore:
         wins (any stored witness refutes the pair; churning rows buys
         nothing).  When the call site can supply the OMQs (``q1``/``q2``)
         or precomputed keys, the row is signature-keyed and joins the
-        structural index; without them it still replays on the hash
-        rungs.  Serialization failures drop the witness silently —
+        structural index; without them it is still a same-LHS/same-RHS
+        candidate.  Serialization failures drop the witness silently —
         durability is best-effort, correctness never depends on it.
         """
         if not lhs_sig and q1 is not None:
@@ -494,106 +376,110 @@ class WitnessStore:
                 StoredWitness(h1, h2, lhs_sig, rhs_sig, origin, doc, witness)
             )
             self._count("engine.witness.stored")
-            self._persist(
-                "INSERT OR REPLACE INTO witnesses VALUES (?, ?, ?, ?, ?, ?)",
-                [(h1, h2, lhs_sig, rhs_sig, origin, doc)],
-            )
             evicted: List[tuple] = []
             while len(self._records) > self.max_entries:
                 oldest = next(iter(self._records))
                 self._unindex_locked(oldest)
                 evicted.append(oldest)
-            if evicted:
-                self._count("engine.witness.evictions", len(evicted))
-                self._persist(
-                    "DELETE FROM witnesses WHERE lhs = ? AND rhs = ?",
-                    evicted,
-                )
+            self._count("engine.witness.evictions", len(evicted))
+            self._store.write(
+                (
+                    "INSERT OR REPLACE INTO witnesses VALUES (?, ?, ?, ?, ?, ?)",
+                    [(h1, h2, lhs_sig, rhs_sig, origin, doc)],
+                ),
+                ("DELETE FROM witnesses WHERE lhs = ? AND rhs = ?", evicted),
+            )
             return True
 
-    def _candidates_locked(
-        self, h1: str, h2: str
-    ) -> List[StoredWitness]:
-        """The bounded hash-rung scan list: same-LHS first, then same-RHS."""
-        out: List[StoredWitness] = []
-        seen = set()
-        for key in self._by_lhs.get(h1, ()):
-            if len(out) >= self.scan_limit:
-                return out
-            out.append(self._records[key])
-            seen.add(key)
-        for key in self._by_rhs.get(h2, ()):
-            if len(out) >= self.scan_limit:
-                break
-            if key not in seen:
-                out.append(self._records[key])
-        return out
+    def _hit(self, origin: str, witness: Witness, detail: str) -> ContainmentResult:
+        self._count("engine.witness.hits")
+        if origin == "exact":
+            self._count("engine.witness.exact_hits")
+        elif origin == "structural-replay":
+            self._count("engine.witness.structural.hits")
+        return not_contained(
+            "witness-replay", witness.database, witness.answer, detail
+        )
 
-    def _structural_candidates_locked(
-        self,
-        h1: str,
-        h2: str,
-        lhs_sig: str,
-        rhs_sig: str,
-        skip: set,
+    def _pair(self, job: Any) -> Optional[Tuple[str, str]]:
+        """*job*'s canonical pair, or ``None`` when replay cannot apply."""
+        if (
+            self.replay_mode == "off"
+            or getattr(job, "kind", None) != "containment"
+            or not hasattr(job, "content_hashes")
+        ):
+            return None
+        return job.content_hashes()
+
+    def lookup(self, job: Any) -> Optional[ContainmentResult]:
+        """The exact-pair probe: a stored witness under exactly *job*'s
+        canonical pair, as a NOT_CONTAINED result, with zero evaluations.
+
+        ``None`` on a miss, for non-containment jobs, and with
+        ``replay_mode="off"``.
+        """
+        pair = self._pair(job)
+        if pair is None:
+            return None
+        with self._lock:
+            self._maybe_reload_locked()
+            exact = self._records.get(pair)
+        if exact is None:
+            return None
+        return self._hit(
+            "exact",
+            exact.witness,
+            "stored witness for this exact canonical pair",
+        )
+
+    def _candidates_locked(
+        self, h1: str, h2: str, lhs_sig: str, rhs_sig: str
     ) -> List[StoredWitness]:
-        """Signature-compatible candidates the hash rungs did not cover."""
-        if not lhs_sig or not rhs_sig:
-            return []
-        out: List[StoredWitness] = []
-        for key in self._by_signature.get((lhs_sig, rhs_sig), ()):
-            if len(out) >= self.scan_limit:
-                break
-            if key == (h1, h2) or key in skip:
-                continue
-            out.append(self._records[key])
-        return out
+        """The bounded cross-pair scan list, without repeats: same-LHS,
+        then same-RHS (at most ``scan_limit`` together), then same
+        signature pair (at most ``scan_limit`` more)."""
+        seen = {(h1, h2)}
+
+        def take(keys: Iterable[Tuple[str, str]]) -> List[Tuple[str, str]]:
+            taken: List[Tuple[str, str]] = []
+            for key in keys:
+                if len(taken) >= self.scan_limit:
+                    break
+                if key not in seen:
+                    seen.add(key)
+                    taken.append(key)
+            return taken
+
+        keys = take(chain(self._by_lhs.get(h1, ()), self._by_rhs.get(h2, ())))
+        if lhs_sig and rhs_sig:
+            keys += take(self._by_signature.get((lhs_sig, rhs_sig), ()))
+        return [self._records[key] for key in keys]
 
     def replay(self, job: Any) -> Optional[ContainmentResult]:
-        """Try to refute *job* (a ContainmentJob) from stored witnesses.
+        """Try to refute *job* (a ContainmentJob) from stored witnesses:
+        the exact-pair probe, then the cross-pair scan.
 
         Returns a NOT_CONTAINED result with the replayed witness attached,
         or ``None`` (a miss — including every anomaly: schema mismatch,
         evaluation failure, inexact negative evidence, blown replay
         budget).  ``replay_mode="off"`` misses unconditionally.
         """
-        if self.replay_mode == "off":
-            return None
-        if getattr(job, "kind", None) != "containment":
-            return None
-        if not hasattr(job, "content_hashes"):
-            return None
-        h1, h2 = job.content_hashes()
-        structural = self.replay_mode == "structural"
+        hit = self.lookup(job)
+        pair = self._pair(job)
+        if hit is not None or pair is None:
+            return hit
+        h1, h2 = pair
         lhs_sig = rhs_sig = ""
-        if structural:
+        if self.replay_mode == "structural":
             lhs_sig = omq_signature(getattr(job, "q1", None))
             rhs_sig = omq_signature(getattr(job, "q2", None))
         with self._lock:
             self._maybe_reload_locked()
-            exact = self._records.get((h1, h2))
-            if exact is not None:
-                self._count("engine.witness.hits")
-                self._count("engine.witness.exact_hits")
-                return not_contained(
-                    "witness-replay",
-                    exact.witness.database,
-                    exact.witness.answer,
-                    "stored witness for this exact canonical pair",
-                )
-            candidates = self._candidates_locked(h1, h2)
-            structural_candidates = self._structural_candidates_locked(
-                h1,
-                h2,
-                lhs_sig,
-                rhs_sig,
-                {(c.lhs, c.rhs) for c in candidates},
-            )
+            candidates = self._candidates_locked(h1, h2, lhs_sig, rhs_sig)
         # Evaluations run outside the lock: a hom-check is cheap but not
         # free, and replay must never serialize concurrent submitters.
         for candidate in candidates:
-            self._count("engine.witness.replays")
-            result = self._check_candidate(job, h1, h2, candidate)
+            result = self._check(job, h1, h2, candidate)
             if result is not None:
                 # Re-record under the candidate pair: next time it is an
                 # exact (zero-evaluation) hit.
@@ -603,25 +489,12 @@ class WitnessStore:
                     result.witness,
                     lhs_sig=lhs_sig,
                     rhs_sig=rhs_sig,
-                    origin="hash-replay",
+                    origin=(
+                        "hash-replay"
+                        if h1 == candidate.lhs or h2 == candidate.rhs
+                        else "structural-replay"
+                    ),
                 )
-                self._count("engine.witness.hits")
-                return result
-        for candidate in structural_candidates:
-            self._count("engine.witness.replays")
-            self._count("engine.witness.structural.attempts")
-            result = self._check_structural(job, candidate)
-            if result is not None:
-                self.record(
-                    h1,
-                    h2,
-                    result.witness,
-                    lhs_sig=lhs_sig,
-                    rhs_sig=rhs_sig,
-                    origin="structural-replay",
-                )
-                self._count("engine.witness.hits")
-                self._count("engine.witness.structural.hits")
                 return result
         self._count("engine.witness.misses")
         return None
@@ -642,99 +515,68 @@ class WitnessStore:
             kwargs["rewriting_budget"] = budget
         return kwargs
 
-    def _check_candidate(
+    def _check(
         self, job: Any, h1: str, h2: str, candidate: StoredWitness
     ) -> Optional[ContainmentResult]:
-        """One hom-check: does *candidate*'s witness refute *job*'s pair?
+        """Does *candidate*'s witness ``(D, c̄)`` refute *job*'s pair?
 
-        The side whose canonical hash matches the stored side needs no
-        re-check (NOT_CONTAINED verdicts are exact, so the stored
-        membership/non-membership is a semantic fact about that hash);
-        only the other side is evaluated, with the candidate job's own
-        budgets.
+        A side whose canonical hash matches the stored pair's needs no
+        evaluation: NOT_CONTAINED verdicts are exact, so the stored
+        membership ``c̄ ∈ Q1(D)`` or non-membership ``c̄ ∉ Q2(D)`` is a
+        semantic fact about that hash.  Every other side is evaluated
+        fresh — membership counts even from an inexact evaluation (it
+        under-approximates), non-membership only from an exact one.  A
+        one-sided check runs under the job's budgets; a *structural*
+        candidate (neither hash matches, only the signature pair) runs
+        both checks under ``min(job, replay_budget)``, and its
+        disconfirmation counts as a refuted replay.
         """
         from ..evaluation import evaluate_omq
 
+        lhs_known, rhs_known = candidate.lhs == h1, candidate.rhs == h2
+        structural = not (lhs_known or rhs_known)
+        self._count("engine.witness.replays")
+        if structural:
+            self._count("engine.witness.structural.attempts")
         witness = candidate.witness
-        kwargs = self._job_budgets(job, None)
+        kwargs = self._job_budgets(
+            job, self.replay_budget if structural else None
+        )
         try:
-            if candidate.lhs == h1:
-                # c̄ ∈ Q1(D) is stored fact; need c̄ ∉ Q2(D), exactly.
-                evaluation = evaluate_omq(job.q2, witness.database, **kwargs)
-                if (
-                    witness.answer not in evaluation.answers
-                    and evaluation.exact
-                ):
-                    return not_contained(
-                        "witness-replay",
-                        witness.database,
-                        witness.answer,
-                        f"stored witness for lhs {h1[:12]} replayed "
-                        "against the candidate RHS",
-                    )
-            elif candidate.rhs == h2:
-                # c̄ ∉ Q2(D) is stored fact; need c̄ ∈ Q1(D) — membership
-                # is sound even from an inexact (under-approximating)
-                # evaluation.
-                evaluation = evaluate_omq(job.q1, witness.database, **kwargs)
-                if witness.answer in evaluation.answers:
-                    return not_contained(
-                        "witness-replay",
-                        witness.database,
-                        witness.answer,
-                        f"stored witness for rhs {h2[:12]} replayed "
-                        "against the candidate LHS",
-                    )
+            refutes = lhs_known or witness.answer in evaluate_omq(
+                job.q1, witness.database, **kwargs
+            ).answers
+            if refutes and not rhs_known:
+                rhs = evaluate_omq(job.q2, witness.database, **kwargs)
+                refutes = rhs.exact and witness.answer not in rhs.answers
         except Exception:
             # Anything — schema mismatch, arity mismatch, a budget
             # exception — degrades this candidate to a miss.
             self.replay_errors += 1
-        return None
-
-    def _check_structural(
-        self, job: Any, candidate: StoredWitness
-    ) -> Optional[ContainmentResult]:
-        """Subsumption replay: two fresh kernel hom-checks, both required.
-
-        Neither side of the candidate pair hash-matches the stored pair,
-        so nothing transfers — the stored (D, c̄) is just a *suggested*
-        counterexample.  It refutes the candidate iff
-
-        1. ``c̄ ∈ Q1_cand(D)`` — membership, sound even when the capped
-           evaluation is inexact;
-        2. ``c̄ ∉ Q2_cand(D)`` — and the evaluation is *exact*; an
-           inexact (truncated) evaluation under-approximates Q2's
-           answers, so its silence proves nothing.
-
-        A disconfirmed candidate counts as a refuted replay
-        (``engine.witness.structural.refuted_replays``); an exception or
-        blown ``replay_budget`` degrades to a miss via the error path.
-        """
-        from ..evaluation import evaluate_omq
-
-        witness = candidate.witness
-        kwargs = self._job_budgets(job, self.replay_budget)
-        try:
-            lhs_eval = evaluate_omq(job.q1, witness.database, **kwargs)
-            if witness.answer in lhs_eval.answers:
-                rhs_eval = evaluate_omq(job.q2, witness.database, **kwargs)
-                if (
-                    witness.answer not in rhs_eval.answers
-                    and rhs_eval.exact
-                ):
-                    return not_contained(
-                        "witness-replay",
-                        witness.database,
-                        witness.answer,
-                        "structural replay: signature-compatible witness "
-                        f"for {candidate.lhs[:12]} ⊄ {candidate.rhs[:12]} "
-                        "re-confirmed against both candidate sides",
-                    )
-        except Exception:
-            self.replay_errors += 1
             return None
-        self._count("engine.witness.structural.refuted_replays")
-        return None
+        if structural and not refutes:
+            self._count("engine.witness.structural.refuted_replays")
+        if not refutes:
+            return None
+        if structural:
+            return self._hit(
+                "structural-replay",
+                witness,
+                "structural replay: signature-compatible witness "
+                f"for {candidate.lhs[:12]} ⊄ {candidate.rhs[:12]} "
+                "re-confirmed against both candidate sides",
+            )
+        if lhs_known:
+            detail = (
+                f"stored witness for lhs {h1[:12]} replayed "
+                "against the candidate RHS"
+            )
+        else:
+            detail = (
+                f"stored witness for rhs {h2[:12]} replayed "
+                "against the candidate LHS"
+            )
+        return self._hit("hash-replay", witness, detail)
 
     @staticmethod
     def _entry_dict(record: StoredWitness) -> Dict[str, Any]:
@@ -752,7 +594,7 @@ class WitnessStore:
     def entries(self) -> List[Dict[str, Any]]:
         """A listing for inspection: one dict per stored pair, insertion
         order preserved.  Prefer :meth:`iter_entries` (or the read-only
-        classmethod :meth:`scan`) for large stores."""
+        classmethod :meth:`inspect`) for large stores."""
         return list(self.iter_entries())
 
     def iter_entries(
@@ -772,88 +614,55 @@ class WitnessStore:
             yield self._entry_dict(record)
 
     @classmethod
-    def scan(
+    def inspect(
         cls, path: str, *, limit: Optional[int] = None
     ) -> Tuple[Dict[str, Any], Iterator[Dict[str, Any]]]:
         """Read-only streaming view of a store *file*: ``(stats, rows)``.
 
         Unlike constructing a :class:`WitnessStore` (which loads every
         row into the in-memory index, and — per the stamp contract —
-        *discards* a version-mismatched file), ``scan`` opens the sqlite
-        file read-only, computes the stats with SQL aggregates, and
-        yields at most *limit* decoded rows lazily.  Inspection of an
-        arbitrarily large or foreign-versioned store is O(limit) memory
-        and never mutates the file.  Raises :class:`ValueError` when the
-        file is not a readable witness store.
+        *discards* a version-mismatched file), ``inspect`` opens the file
+        through :class:`~repro.engine.store.ReadOnlyStore`, computes the
+        stats with SQL aggregates, and yields at most *limit* decoded
+        rows lazily.  Inspection of an arbitrarily large or
+        foreign-versioned store is O(limit) memory and never mutates the
+        file.  Raises :class:`~repro.engine.store.StoreError` (a
+        :class:`ValueError`) when the file is not a readable witness
+        store.
         """
+        view = ReadOnlyStore(path)
         try:
-            conn = sqlite3.connect(
-                f"file:{path}?mode=ro", uri=True, check_same_thread=False
+            ((entries, lhs_keys, rhs_keys),) = view.rows(
+                "SELECT COUNT(*), COUNT(DISTINCT lhs), "
+                "COUNT(DISTINCT rhs) FROM witnesses"
             )
-        except sqlite3.Error as exc:
-            raise ValueError(str(exc)) from None
-        try:
-            try:
-                stamps = dict(conn.execute("SELECT key, value FROM meta"))
-                entries, lhs_keys, rhs_keys = conn.execute(
-                    "SELECT COUNT(*), COUNT(DISTINCT lhs), "
-                    "COUNT(DISTINCT rhs) FROM witnesses"
-                ).fetchone()
-            except sqlite3.Error as exc:
-                raise ValueError(f"not a witness store: {exc}") from None
-        except ValueError:
-            conn.close()
-            raise
-        expected = {
-            "schema_version": WITNESS_SCHEMA_VERSION,
-            "canon_version": CANON_VERSION,
-        }
+        except StoreError as exc:
+            view.close()
+            raise StoreError(f"not a witness store: {exc}") from None
         stats = {
             "entries": int(entries),
             "lhs_keys": int(lhs_keys),
             "rhs_keys": int(rhs_keys),
-            "schema_version": stamps.get("schema_version", ""),
-            "canon_version": stamps.get("canon_version", ""),
-            "current": stamps == expected,
+            **view.stamp_stats(WITNESS_SCHEMA_VERSION),
         }
 
         def _rows() -> Iterator[Dict[str, Any]]:
-            try:
+            with view:
                 try:
-                    cursor = conn.execute(
-                        "SELECT lhs, rhs, lhs_sig, rhs_sig, origin, doc "
-                        "FROM witnesses ORDER BY rowid"
+                    rows = view.rows(
+                        f"SELECT {_COLUMNS} FROM witnesses ORDER BY rowid"
                     )
-                except sqlite3.Error:
+                except StoreError:
                     # A schema-v1 file has no signature columns; it still
                     # deserves a listing (replay would discard it, but
                     # inspection must not).
-                    cursor = conn.execute(
+                    rows = view.rows(
                         "SELECT lhs, rhs, '', '', 'decided', doc "
                         "FROM witnesses ORDER BY rowid"
                     )
-                yielded = 0
-                for lhs, rhs, lhs_sig, rhs_sig, origin, doc in cursor:
-                    if limit is not None and yielded >= limit:
-                        break
-                    try:
-                        witness = witness_from_json(json.loads(str(doc)))
-                    except Exception:
-                        continue  # a bad row is skipped, never fatal
-                    yielded += 1
-                    yield cls._entry_dict(
-                        StoredWitness(
-                            str(lhs),
-                            str(rhs),
-                            str(lhs_sig or ""),
-                            str(rhs_sig or ""),
-                            str(origin or "decided"),
-                            str(doc),
-                            witness,
-                        )
-                    )
-            finally:
-                conn.close()
+                decoded = (record for record in map(_decode, rows) if record)
+                for record in islice(decoded, limit):
+                    yield cls._entry_dict(record)
 
         return stats, _rows()
 
@@ -888,24 +697,12 @@ class WitnessStore:
             self._by_lhs = {}
             self._by_rhs = {}
             self._by_signature = {}
-            if self._conn is not None:
-                try:
-                    self._conn.execute("DELETE FROM witnesses")
-                    self._conn.commit()
-                except sqlite3.OperationalError:
-                    self._degrade()
-                except sqlite3.Error:
-                    self._recover()
+            self._store.write(("DELETE FROM witnesses", [()]))
 
     def close(self) -> None:
         with self._lock:
             unregister_cache(self._registry_key)
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:
-                    pass
-                self._conn = None
+            self._store.close()
 
     def __enter__(self) -> "WitnessStore":
         return self

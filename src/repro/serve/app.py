@@ -314,9 +314,12 @@ class ServeApp:
 
     def _submit_response(self, record: JobRecord) -> Response:
         doc = envelope(self.job_to_json(record))
-        # A submission resolved on the cheap ladder (catalog, cache, or
-        # deadline degrade) answers 200 with the result inline; anything
-        # still in flight is a 202.
+        # A submission already resolved when this reads ``done()``
+        # answers 200 with the result inline; anything still in flight
+        # is a 202.  That covers the tier ladder (witness store, catalog,
+        # cache) and deadline degrades, but also a pool job that finished
+        # first — a race between inline and SSE answers that ROADMAP
+        # item 4 replaces with a bounded wait.
         return Response.json(doc, status=200 if record.handle.done() else 202)
 
     def _batch(self, request: Request) -> Response:

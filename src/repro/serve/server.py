@@ -4,7 +4,7 @@
 ``asyncio.start_server`` loop:
 
 * **startup** — builds the :class:`~repro.engine.BatchEngine` from a
-  :class:`ServeConfig` (workers, cache backend, catalog, deadline floor),
+  :class:`ServeConfig` (workers, tier paths, deadline floor),
   loads the tenant config file, binds the socket (``port=0`` picks a free
   port, reported on :attr:`ReproServer.port`);
 * **request loop** — HTTP/1.1 keep-alive per connection; every request
@@ -53,7 +53,6 @@ class ServeConfig:
     workers: int = 1
     task_timeout: Optional[float] = None
     cache_dir: Optional[str] = None
-    cache_backend: str = "sqlite"
     catalog: Optional[str] = None
     witness_store: Optional[str] = None
     #: Witness replay mode for the store: "exact", "structural", or "off".
@@ -77,7 +76,6 @@ class ServeConfig:
             cache_dir=self.cache_dir,
             workers=self.workers,
             task_timeout=self.task_timeout,
-            cache_backend=self.cache_backend,
             catalog=self.catalog,
             witness_store=self.witness_store,
             witness_replay=(

@@ -1,15 +1,15 @@
-"""Backend-conformance suite for the pluggable result-cache backends.
+"""The result cache front, with and without its disk layer.
 
-One behavioural contract, three implementations: every test here runs
-against ``memory`` (no byte backend at all), ``sqlite`` (single WAL
-file), and ``sharded`` (fanned-out directory of atomic files).  Whatever
-a backend cannot support it must *degrade* from, never crash: corruption
-costs a miss, contention costs a transient error, and the memory layer
-keeps serving throughout.
+Every test here runs against ``memory`` (no ``cache_dir``: no disk layer
+at all) and ``sqlite`` (the WAL file under ``cache_dir``).  Whatever the
+disk layer cannot do the front must *degrade* from, never crash: a bad
+payload costs a miss, contention costs a transient error, and the memory
+layer keeps serving throughout.
 
-sqlite-only regressions (WAL pragma, lock-degrade semantics, stale meta
-stamps) stay in ``test_engine_cache.py``; this module is the part of the
-contract all backends share.
+The durable-store contract the cache shares with the catalog and the
+witness store (stamps, damage, locks, foreign files, full disks) is
+``test_store.py``; sqlite regressions of the cache itself stay in
+``test_engine_cache.py``.
 """
 
 import json
@@ -21,30 +21,28 @@ import pytest
 
 from repro.containment.result import ContainmentResult, Verdict, contained
 from repro.engine import cache as cache_module
-from repro.engine.cache import ResultCache, available_backends
+from repro.engine.cache import ResultCache
 
-BACKEND_NAMES = ("memory", "sqlite", "sharded")
-PERSISTENT_BACKENDS = ("sqlite", "sharded")
+LAYERS = ("memory", "sqlite")
+DISK_LAYERS = ("sqlite",)
 
 
 def make_cache(backend, tmp_path, **kwargs):
-    return ResultCache(str(tmp_path), backend=backend, **kwargs)
+    cache_dir = str(tmp_path) if backend == "sqlite" else None
+    return ResultCache(cache_dir, **kwargs)
 
 
-@pytest.fixture(params=BACKEND_NAMES)
+@pytest.fixture(params=LAYERS)
 def any_backend(request):
     return request.param
 
 
-@pytest.fixture(params=PERSISTENT_BACKENDS)
+@pytest.fixture(params=DISK_LAYERS)
 def disk_backend(request):
     return request.param
 
 
 class TestConformance:
-    def test_registry_exposes_all_three(self):
-        assert set(BACKEND_NAMES) <= set(available_backends())
-
     def test_roundtrip_hit_and_miss(self, any_backend, tmp_path):
         cache = make_cache(any_backend, tmp_path)
         assert cache.get("k") == (False, None)
@@ -61,7 +59,7 @@ class TestConformance:
         cache.put("c", 3)
         stats = cache.stats()
         assert stats["memory_entries"] == 2
-        # Evicted keys remain reachable iff the backend persists bytes.
+        # Evicted keys remain reachable iff the disk layer persists bytes.
         found, value = cache.get("b")
         if cache.persistent:
             assert (found, value) == (True, 2)
@@ -72,7 +70,7 @@ class TestConformance:
     def test_persistence_across_reopen(self, any_backend, tmp_path):
         c1 = make_cache(any_backend, tmp_path)
         persistent = c1.persistent
-        assert persistent == (any_backend in PERSISTENT_BACKENDS)
+        assert persistent == (any_backend in DISK_LAYERS)
         c1.put("k", contained("test-method", "detail"))
         c1.close()
         c2 = make_cache(any_backend, tmp_path)
@@ -116,7 +114,7 @@ class TestConformance:
         cache = make_cache(disk_backend, tmp_path)
         cache.put("good", "v")
         cache.put("bad", "w")
-        cache._backend.store("bad", b"\x00not a pickle\xff")
+        cache._write_payload("bad", b"\x00not a pickle\xff")
         cache.clear_memory()
         assert cache.get("bad") == (False, None)
         assert cache.get("good") == (True, "v")
@@ -154,13 +152,12 @@ class TestTwoProcessContention:
     def test_two_processes_share_one_cache_dir(self, disk_backend, tmp_path):
         """Two concurrent writers hammer one cache_dir.  Neither process
         may 'recover' (i.e. delete) shared state, and every row must
-        survive — WAL+busy_timeout for sqlite, atomic replace for the
-        sharded directory."""
+        survive — WAL plus the busy timeout."""
         script = (
             "import json, sys\n"
             "from repro.engine.cache import ResultCache\n"
-            "tag, cache_dir, backend = sys.argv[1:4]\n"
-            "cache = ResultCache(cache_dir, backend=backend)\n"
+            "tag, cache_dir = sys.argv[1:3]\n"
+            "cache = ResultCache(cache_dir)\n"
             "for i in range(40):\n"
             "    cache.put(f'{tag}:{i}', {'tag': tag, 'i': i})\n"
             "    cache.get(f'{tag}:{i}')\n"
@@ -172,7 +169,7 @@ class TestTwoProcessContention:
         repo_root = Path(__file__).resolve().parent.parent
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", script, tag, str(tmp_path), disk_backend],
+                [sys.executable, "-c", script, tag, str(tmp_path)],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -189,7 +186,7 @@ class TestTwoProcessContention:
         assert [r["recoveries"] for r in reports] == [0, 0]
         assert all(r["persistent"] for r in reports)
 
-        survivor = ResultCache(str(tmp_path), backend=disk_backend)
+        survivor = make_cache(disk_backend, tmp_path)
         assert survivor.stats()["disk_entries"] == 80
         assert survivor.get("a:0") == (True, {"tag": "a", "i": 0})
         assert survivor.get("b:39") == (True, {"tag": "b", "i": 39})

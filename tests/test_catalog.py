@@ -16,6 +16,7 @@ from repro.containment.result import Verdict
 from repro.engine import BatchEngine, ContainmentJob
 from repro.engine.canon import hash_omq
 from repro.engine.catalog import CATALOG_SCHEMA_VERSION, OMQCatalog
+from repro.engine.store import SQLITE_HEADER
 
 
 class TestUnionFindCore:
@@ -126,7 +127,8 @@ class TestPersistence:
         path = tmp_path / "catalog.sqlite"
         with OMQCatalog(str(path)) as c1:
             c1.note_equivalent("a", "b")
-        path.write_bytes(b"\xffnot sqlite\x00" * 32)
+        # Damage behind an intact SQLite header: the catalog's own file.
+        path.write_bytes(SQLITE_HEADER + b"\xffnot sqlite\x00" * 32)
         with OMQCatalog(str(path)) as c2:
             assert c2.recoveries == 1
             assert c2.persistent

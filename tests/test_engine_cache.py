@@ -1,30 +1,20 @@
-"""The engine's result cache: the front's memory layer, the backend
-registry, sqlite-specific regressions (WAL mode, lock-degrade semantics,
-stale version stamps), and the process-wide cache registry behind
-``repro.clear_caches()``.
+"""The engine's result cache: the front's memory layer, sqlite
+regressions (WAL mode, lock-degrade semantics, stale version stamps), and
+the process-wide cache registry behind ``repro.clear_caches()``.
 
-Behaviour every backend must share (round-trips, persistence, corruption
-degrade, two-process contention) lives in the parametrized conformance
-suite ``test_cache_backends.py``.
+The cache front with and without a disk layer (round-trips, persistence,
+payload corruption, two-process contention) is covered by the
+memory/sqlite conformance suite next to this file; the durable-store
+contract all three tiers share by ``test_store.py``.
 """
 
 import sqlite3
 
-import pytest
-
 import repro
 from repro import OMQ, Schema, parse_cq, parse_tgds
-from repro.engine import cache as cache_module
-from repro.engine.cache import (
-    _DB_NAME,
-    BACKENDS,
-    CacheBackend,
-    ResultCache,
-    ShardedDirBackend,
-    SqliteBackend,
-    available_backends,
-    register_backend,
-)
+from repro.engine import store as store_module
+from repro.engine.cache import _DB_NAME, ResultCache
+from repro.engine.store import SQLITE_HEADER
 from repro.evaluation import cached_rewriting, evaluate_omq
 
 
@@ -60,97 +50,20 @@ class TestMemoryLayer:
         assert stats["backend"] == "memory"
 
 
-class TestBackendRegistry:
-    def test_builtins_registered(self):
-        assert BACKENDS["sqlite"] is SqliteBackend
-        assert BACKENDS["sharded"] is ShardedDirBackend
-        assert available_backends() == ("memory", "sharded", "sqlite")
-
-    def test_unknown_backend_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="sharded"):
-            ResultCache(str(tmp_path), backend="bogus")
-
-    def test_non_string_non_backend_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            ResultCache(str(tmp_path), backend=42)
-
-    def test_memory_name_means_no_disk(self, tmp_path):
-        cache = ResultCache(str(tmp_path), backend="memory")
-        assert not cache.persistent
-        assert cache.backend_name == "memory"
-        cache.close()
-
-    def test_no_cache_dir_means_no_disk(self):
-        cache = ResultCache(None, backend="sqlite")
-        assert not cache.persistent
-        cache.close()
-
-    def test_backend_instance_used_as_is(self, tmp_path):
-        backend = ShardedDirBackend(str(tmp_path))
-        cache = ResultCache(str(tmp_path), backend=backend)
-        assert cache._backend is backend
-        assert cache.backend_name == "sharded"
-        cache.put("k", "v")
-        cache.clear_memory()
-        assert cache.get("k") == (True, "v")
-        cache.close()
-
-    def test_register_backend_plugs_into_names(self, tmp_path, monkeypatch):
-        class NullBackend(CacheBackend):
-            name = "null"
-            persistent = False
-
-            def __init__(self, cache_dir):
-                super().__init__()
-
-            def load(self, key):
-                return None
-
-            def store(self, key, payload):
-                pass
-
-            def delete(self, key):
-                pass
-
-            def clear(self):
-                pass
-
-            def count(self):
-                return 0
-
-        monkeypatch.setitem(cache_module.BACKENDS, "null", NullBackend)
-        assert "null" in available_backends()
-        cache = ResultCache(str(tmp_path), backend="null")
-        cache.put("k", "v")
-        cache.clear_memory()
-        assert cache.get("k") == (False, None)  # NullBackend drops bytes
-        cache.close()
-
-    def test_register_backend_function(self, monkeypatch):
-        registered = dict(cache_module.BACKENDS)
-        monkeypatch.setattr(cache_module, "BACKENDS", registered)
-
-        class Dummy(CacheBackend):
-            name = "dummy"
-
-        register_backend("dummy", Dummy)
-        assert registered["dummy"] is Dummy
-
-
 class TestSqliteRegressions:
     def test_disk_layer_opens_in_wal_mode(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        mode = (
-            cache._backend._conn.execute("PRAGMA journal_mode").fetchone()[0]
-        )
-        assert mode == "wal"
+        assert cache._store.read("PRAGMA journal_mode") == [("wal",)]
         cache.close()
 
     def test_corrupted_file_is_rebuilt(self, tmp_path):
         c1 = ResultCache(str(tmp_path))
         c1.put("k", "v")
         c1.close()
-        (tmp_path / _DB_NAME).write_bytes(b"\x00garbage, not sqlite\xff" * 64)
+        # Damage behind an intact SQLite header: the cache's own file.
+        (tmp_path / _DB_NAME).write_bytes(
+            SQLITE_HEADER + b"\x00garbage, not sqlite\xff" * 64
+        )
         c2 = ResultCache(str(tmp_path))
         # The bad file was discarded; the cache still works.
         assert c2.recoveries == 1
@@ -184,7 +97,7 @@ class TestSqliteRegressions:
         # from under every other process using it.  Now it only costs the
         # one store: recoveries stays 0, the file stays put, and the
         # cache recovers as soon as the lock clears.
-        monkeypatch.setattr(cache_module, "_BUSY_TIMEOUT_MS", 50)
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT_MS", 50)
         cache = ResultCache(str(tmp_path))
         cache.put("before", "v")
 
@@ -209,25 +122,6 @@ class TestSqliteRegressions:
         assert cache.get("before") == (True, "v")
         assert cache.get("after") == (True, "x")
         assert cache.recoveries == 0
-        cache.close()
-
-
-class TestShardedLayout:
-    def test_version_stamped_directory(self, tmp_path):
-        cache = ResultCache(str(tmp_path), backend="sharded")
-        cache.put("k", "v")
-        roots = [p.name for p in tmp_path.iterdir() if p.is_dir()]
-        assert len(roots) == 1
-        assert roots[0].startswith("repro-cache-shards-v")
-        cache.close()
-
-    def test_no_temp_files_left_behind(self, tmp_path):
-        cache = ResultCache(str(tmp_path), backend="sharded")
-        for i in range(10):
-            cache.put(f"k{i}", i)
-        leftovers = list(tmp_path.rglob("*.tmp"))
-        assert leftovers == []
-        assert cache.stats()["disk_entries"] == 10
         cache.close()
 
 

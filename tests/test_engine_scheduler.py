@@ -546,3 +546,69 @@ class TestDeadlinePolicy:
             # Budget above it: admitted and completed.
             admitted = engine.submit(SleepJob(0.01, "y"), deadline=30.0)
             assert admitted.result(timeout=10).value == "y"
+
+
+def _path_omq(length: int) -> OMQ:
+    body = ", ".join(f"E(x{i}, x{i + 1})" for i in range(length))
+    return OMQ(Schema.of(E=2), (), parse_cq(f"q() :- {body}"))
+
+
+class TestLadderOrder:
+    """Every hash-keyed tier answers before the witness store's
+    cross-pair scan evaluates anything: a cached or catalog answer pays
+    no hom-check whose result it cannot use."""
+
+    def _plant_same_lhs_witness(self, engine, q1, other):
+        """Record a genuine witness for ``q1 ⊄ other``: a stored pair
+        sharing q1's LHS hash, so the scan has a candidate for q1."""
+        from repro.containment.dispatch import contains
+        from repro.engine.canon import hash_omq
+
+        verdict = contains(q1, other)
+        assert verdict.verdict is Verdict.NOT_CONTAINED
+        engine.witness_store.record(
+            hash_omq(q1), hash_omq(other), verdict.witness, q1=q1, q2=other
+        )
+
+    def test_cache_answers_before_the_scan(self, tmp_path):
+        long, short = _path_omq(3), _path_omq(2)
+        with BatchEngine(
+            cache_dir=str(tmp_path / "cache"),
+            witness_store=str(tmp_path / "w.sqlite"),
+        ) as engine:
+            first = engine.contains(long, short)
+            assert first.value.verdict is Verdict.CONTAINED
+            assert not first.cached
+            self._plant_same_lhs_witness(engine, long, _path_omq(4))
+            again = engine.contains(long, short)
+            assert again.cached
+            assert again.value.verdict is Verdict.CONTAINED
+            snap = engine.stats()["metrics"]
+            assert snap["engine.containment.cache_hits"] == 1
+            assert snap.get("engine.witness.replays", 0) == 0
+            assert snap.get("engine.witness.structural.attempts", 0) == 0
+
+    def test_catalog_answers_before_the_scan(self, tmp_path):
+        schema = Schema.of(E=2)
+        query = parse_cq("q(x) :- P(x)")
+        q1 = OMQ(schema, tuple(parse_tgds("E(x, y) -> P(x)")), query)
+        q2 = OMQ(
+            schema,
+            tuple(parse_tgds("E(x, y) -> P(x)\nP(x) -> P(x)")),
+            query,
+        )
+        incoming = OMQ(schema, (), parse_cq("q(x) :- E(y, x)"))
+        with BatchEngine(
+            catalog=str(tmp_path / "cat.sqlite"),
+            witness_store=str(tmp_path / "w.sqlite"),
+        ) as engine:
+            engine.contains(q1, q2)
+            engine.contains(q2, q1)
+            assert engine.stats()["catalog"]["groups"] == 1
+            self._plant_same_lhs_witness(engine, q1, incoming)
+            again = engine.contains(q1, q2)
+            assert again.value.method == "catalog-equivalence"
+            snap = engine.stats()["metrics"]
+            assert snap["engine.catalog.short_circuits"] == 1
+            assert snap.get("engine.witness.replays", 0) == 0
+            assert snap.get("engine.witness.structural.attempts", 0) == 0

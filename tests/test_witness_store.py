@@ -25,6 +25,7 @@ from repro.core.serialize import witness_from_json, witness_to_json
 from repro.core.terms import Constant, Null
 from repro.engine import BatchEngine, ContainmentJob
 from repro.engine.canon import hash_omq
+from repro.engine.store import SQLITE_HEADER
 from repro.engine.witness_store import (
     WITNESS_SCHEMA_VERSION,
     WitnessStore,
@@ -119,9 +120,13 @@ class TestStoreCore:
             assert reopened.persistent
 
     def test_corrupted_file_degrades_to_empty_never_crashes(self, tmp_path):
+        # Damage behind an intact SQLite header: the store's own file,
+        # rebuilt.  (Headerless bytes are somebody else's file and stay
+        # untouched; tests/test_store.py covers that case.)
         path = tmp_path / "w.sqlite"
-        path.write_bytes(b"this is not a sqlite database at all")
+        path.write_bytes(SQLITE_HEADER + b"this is not a sqlite database at all")
         with WitnessStore(str(path)) as store:
+            assert store.recoveries == 1
             assert len(store) == 0
             assert store.replay(ContainmentJob(*_not_contained_pair())) is None
             # The recovered file accepts new rows again.
