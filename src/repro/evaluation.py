@@ -109,6 +109,23 @@ def default_guarded_depth(omq: OMQ) -> int:
     return size * (arity + 1) + 1
 
 
+def _derivable_predicates(omq: OMQ) -> Set[str]:
+    """The predicates some S-database makes true: the data schema's, and
+    the head predicates of every rule whose body they cover (a least
+    fixpoint)."""
+    derivable = set(omq.data_schema.predicates())
+    changed = True
+    while changed:
+        changed = False
+        for rule in omq.sigma:
+            if all(a.predicate in derivable for a in rule.body):
+                for a in rule.head:
+                    if a.predicate not in derivable:
+                        derivable.add(a.predicate)
+                        changed = True
+    return derivable
+
+
 def evaluate_omq(
     omq: OMQ,
     database: Instance,
@@ -214,6 +231,15 @@ def _evaluate_omq(
     # Guarded / arbitrary: try a rewriting attempt first (database
     # independent, memoized), then a terminating chase, then fall back to
     # the bounded chase.
+    #
+    # A disjunct over a predicate that no S-database makes true has no
+    # answers, and every query XRewrite derives from it keeps such an
+    # atom.  When every disjunct has one, the empty UCQ is the exact
+    # rewriting; the attempt would only explore that useless space, whose
+    # discarded duplicates its budget does not count, for minutes.
+    derivable = _derivable_predicates(omq)
+    if not any(d.predicates() <= derivable for d in query.disjuncts):
+        return EvaluationResult(set(), True, "rewriting")
     rewriting = cached_rewriting(omq, rewriting_budget)
     if rewriting.complete:
         return EvaluationResult(

@@ -102,3 +102,27 @@ class TestSemantics:
         db = parse_database("E(a, b). E(b, c). S(a)")
         result = evaluate_omq(q, db)
         assert names(result.answers) == {("a",), ("b",), ("c",)}
+
+    def test_underivable_query_predicate_skips_the_rewriting(self, monkeypatch):
+        # Guarded and recursive: D is derived only from D, so no database
+        # makes it true.  XRewrite on this query runs for minutes without
+        # reaching its budget (its duplicates are not counted), so the
+        # evaluator must answer without attempting it.
+        import repro.evaluation as evaluation
+
+        def no_rewriting(*args):
+            raise AssertionError("speculative rewriting attempted")
+
+        monkeypatch.setattr(evaluation, "cached_rewriting", no_rewriting)
+        q = omq(
+            {"S": 2, "T": 1},
+            "D(x), T(x) -> E(x, z)\n"
+            "S(x, y), D(y), E(x, x) -> D(x)\n"
+            "S(x, y), E(x, y), S(y, x) -> E(y, x)",
+            "q() :- D(x), S(x, y)",
+        )
+        db = parse_database("S(a, b). S(b, a). S(a, a). T(a)")
+        result = evaluate_omq(q, db)
+        assert result.answers == set()
+        assert result.exact
+        assert evaluate_omq(q, db, method="bounded-chase").answers == set()
