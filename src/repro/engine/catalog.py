@@ -5,9 +5,11 @@ catalog answers the stronger "have I proven *these OMQs interchangeable*
 before?".  It records directed containment facts between canonical OMQ
 hashes (:func:`repro.engine.canon.hash_omq`) — from EQUIVALENT verdict
 pairs, and from any two CONTAINED edges whose reps close a cycle — and
-condenses the strongly connected components of that fact graph into
-equivalence groups with a union-find.  The payoff compounds across
-sessions:
+keeps the strongly connected components of that fact graph as
+equivalence groups in a union-find.  Each new edge merges the one
+component it closes, found by searching only the groups it can reach,
+so a note costs the subgraph it explores, not the whole graph.  The
+payoff compounds across sessions:
 
 * a containment job whose two sides land in the same group is answered
   instantly (verdict CONTAINED, procedure ``"catalog-equivalence"``)
@@ -70,6 +72,10 @@ class OMQCatalog(StoreBacked):
         self._parent: Dict[str, str] = {}
         #: directed CONTAINED facts between *raw* hashes.
         self._edges: Set[Tuple[str, str]] = set()
+        #: rep -> the far ends (raw hashes, read through _find) of the
+        #: facts that leave / enter its group.
+        self._out: Dict[str, Set[str]] = {}
+        self._in: Dict[str, Set[str]] = {}
         self.merges = 0
         self._store = SqliteStore(
             path, _DDL, table="members", schema_version=CATALOG_SCHEMA_VERSION
@@ -87,8 +93,8 @@ class OMQCatalog(StoreBacked):
         for h, rep in members:
             self._parent[h] = rep
             self._parent.setdefault(rep, rep)
-        self._edges.update(edges)
-        self._condense()
+        for src, dst in edges:
+            self._link(src, dst)
 
     @classmethod
     def inspect(
@@ -123,84 +129,68 @@ class OMQCatalog(StoreBacked):
             self._parent[h], h = root, self._parent[h]
         return root
 
-    def _union(self, a: str, b: str) -> bool:
-        """Merge *a*'s and *b*'s groups; returns True iff they differed.
+    def _link(self, h1: str, h2: str) -> bool:
+        """Add the fact ``h1 ⊆ h2``; returns True iff it closed a cycle.
 
-        The surviving representative is the lexicographically least root
-        so every session converges on the same rep for the same group.
+        Every earlier cycle is merged already, so the graph of groups is
+        acyclic and the edge closes one only when rep(h2) reaches rep(h1).
+        The cycle's groups — those reachable from rep(h2) that reach
+        rep(h1), e.g. all three of ``A⊆B, B⊆C, C⊆A`` — merge under the
+        lexicographically least rep, so every session converges on the
+        same rep for the same group.
         """
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
+        self._edges.add((h1, h2))
+        self._parent.setdefault(h1, h1)
+        self._parent.setdefault(h2, h2)
+        r1, r2 = self._find(h1), self._find(h2)
+        if r1 == r2:
             return False
-        keep, fold = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[fold] = keep
-        self.merges += 1
-        # Rewrite every member of the folded group, then record the
-        # folded hash itself.
+        self._out.setdefault(r1, set()).add(h2)
+        self._in.setdefault(r2, set()).add(h1)
+        ahead = self._reach(r2, self._out)
+        if r1 not in ahead:
+            return False
+        cycle = self._reach(r1, self._in, within=ahead)
+        keep = min(cycle)
+        folds = cycle - {keep}
+        for fold in folds:
+            self._parent[fold] = keep
+        for index in (self._out, self._in):
+            ends = set().union(*(index.pop(rep, ()) for rep in cycle))
+            index[keep] = {h for h in ends if self._find(h) != keep}
+        self.merges += len(folds)
+        # Rewrite every member of the folded groups, then record the
+        # folded hashes themselves.
         self._store.write(
-            ("UPDATE members SET rep = ? WHERE rep = ?", [(keep, fold)]),
-            ("INSERT OR REPLACE INTO members VALUES (?, ?)", [(fold, keep)]),
+            (
+                "UPDATE members SET rep = ? WHERE rep = ?",
+                [(keep, fold) for fold in folds],
+            ),
+            (
+                "INSERT OR REPLACE INTO members VALUES (?, ?)",
+                [(fold, keep) for fold in folds],
+            ),
         )
         return True
 
-    def _condense(self) -> None:
-        """Merge every strongly connected component of the rep-level fact
-        graph (Tarjan, iterative).  Pairwise ``A⊆B ∧ B⊆A`` cycles are the
-        common case, but chains of CONTAINED facts can close longer
-        cycles — e.g. ``A⊆B, B⊆C, C⊆A`` proves all three equivalent —
-        which only SCC condensation catches."""
-        adj: Dict[str, List[str]] = {}
-        for src, dst in self._edges:
-            rs, rd = self._find(src), self._find(dst)
-            if rs != rd:
-                adj.setdefault(rs, []).append(rd)
-                adj.setdefault(rd, [])
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-
-        def strongconnect(start: str) -> None:
-            work = [(start, iter(adj.get(start, ())))]
-            index[start] = low[start] = counter[0]
-            counter[0] += 1
-            stack.append(start)
-            on_stack.add(start)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in index:
-                        index[succ] = low[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(adj.get(succ, ()))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[node] = min(low[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    for other in component[1:]:
-                        self._union(component[0], other)
-
-        for node in list(adj):
-            if node not in index:
-                strongconnect(node)
+    def _reach(
+        self,
+        start: str,
+        adjacency: Dict[str, Set[str]],
+        within: Optional[Set[str]] = None,
+    ) -> Set[str]:
+        """The groups *adjacency* leads to from group *start*, *start*
+        included, never leaving *within* when it is given.  A group's
+        inner facts are not in *adjacency*, so they cost nothing."""
+        seen = {start}
+        todo = [start]
+        while todo:
+            for h in adjacency.get(todo.pop(), ()):
+                rep = self._find(h)
+                if rep not in seen and (within is None or rep in within):
+                    seen.add(rep)
+                    todo.append(rep)
+        return seen
 
     # -- public API -------------------------------------------------------
 
@@ -224,9 +214,6 @@ class OMQCatalog(StoreBacked):
         with self._lock:
             if h1 == h2 or (h1, h2) in self._edges:
                 return False
-            self._edges.add((h1, h2))
-            self._parent.setdefault(h1, h1)
-            self._parent.setdefault(h2, h2)
             self._store.write(
                 ("INSERT OR IGNORE INTO edges VALUES (?, ?)", [(h1, h2)]),
                 (
@@ -234,9 +221,7 @@ class OMQCatalog(StoreBacked):
                     [(h1, self._find(h1)), (h2, self._find(h2))],
                 ),
             )
-            before = self.merges
-            self._condense()
-            return self.merges > before
+            return self._link(h1, h2)
 
     def note_equivalent(self, h1: str, h2: str) -> bool:
         """Record a proven equivalence (both containment directions)."""
@@ -272,8 +257,8 @@ class OMQCatalog(StoreBacked):
     def clear(self) -> None:
         """Forget every fact (memory and disk)."""
         with self._lock:
-            self._parent.clear()
-            self._edges.clear()
+            for index in (self._parent, self._edges, self._out, self._in):
+                index.clear()
             self._store.write(
                 ("DELETE FROM members", [()]), ("DELETE FROM edges", [()])
             )

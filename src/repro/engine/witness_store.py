@@ -530,8 +530,12 @@ class WitnessStore(StoreBacked):
         candidate (neither hash matches, only the signature pair) runs
         both checks under ``min(job, replay_budget)``, and its
         disconfirmation counts as a refuted replay.
+
+        A necessary test first refutes, unevaluated, a ``c̄`` whose arity
+        differs from Q1's head or a D whose predicates derive no disjunct
+        of Q1 under Σ1 (``engine.witness.pruned``).
         """
-        from ..evaluation import evaluate_omq
+        from ..evaluation import answerable_from, evaluate_omq
 
         lhs_known, rhs_known = candidate.lhs == h1, candidate.rhs == h2
         structural = not (lhs_known or rhs_known)
@@ -543,9 +547,17 @@ class WitnessStore(StoreBacked):
             job, self.replay_budget if structural else None
         )
         try:
-            refutes = lhs_known or witness.answer in evaluate_omq(
-                job.q1, witness.database, **kwargs
-            ).answers
+            if lhs_known:
+                refutes = True
+            elif len(witness.answer) != job.q1.arity or not answerable_from(
+                job.q1, witness.database.predicates()
+            ):
+                self._count("engine.witness.pruned")
+                refutes = False
+            else:
+                refutes = witness.answer in evaluate_omq(
+                    job.q1, witness.database, **kwargs
+                ).answers
             if refutes and not rhs_known:
                 rhs = evaluate_omq(job.q2, witness.database, **kwargs)
                 refutes = rhs.exact and witness.answer not in rhs.answers

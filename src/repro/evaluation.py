@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from .chase.engine import ChaseBudgetExceeded, chase
 from .core.instance import Instance
 from .core.omq import OMQ, TGDClass
 from .core.terms import Term
 from .engine.registry import register_cache
-from .fragments.classify import best_class
 from .kernel import plan as kernel_plan
 from . import obs
 from .fragments.weak import is_weakly_acyclic
@@ -35,11 +34,6 @@ from .rewriting.xrewrite import (
     RewritingResult,
     xrewrite,
 )
-
-
-@lru_cache(maxsize=512)
-def _cached_best_class(sigma: Tuple) -> TGDClass:
-    return best_class(sigma)
 
 
 @lru_cache(maxsize=512)
@@ -73,7 +67,6 @@ def cached_rewriting(omq: OMQ, budget: int) -> RewritingResult:
 # These memo tables are keyed by whole OMQs/tgd tuples and accumulate
 # across unrelated inputs; registering them makes repro.clear_caches()
 # (and the test suite's isolation fixture) able to reset them.
-register_cache("evaluation.best_class", _cached_best_class.cache_clear)
 register_cache("evaluation.classes", _cached_classes.cache_clear)
 register_cache(
     "evaluation.weakly_acyclic", _cached_weakly_acyclic.cache_clear
@@ -109,21 +102,29 @@ def default_guarded_depth(omq: OMQ) -> int:
     return size * (arity + 1) + 1
 
 
-def _derivable_predicates(omq: OMQ) -> Set[str]:
-    """The predicates some S-database makes true: the data schema's, and
-    the head predicates of every rule whose body they cover (a least
-    fixpoint)."""
-    derivable = set(omq.data_schema.predicates())
+def _derivable_predicates(sigma: Tuple, start: Iterable[str]) -> Set[str]:
+    """The predicates a chase under *sigma* can make true from facts over
+    the predicates *start*: those, and the head predicates of every rule
+    whose body they cover (a least fixpoint)."""
+    derivable = set(start)
     changed = True
     while changed:
         changed = False
-        for rule in omq.sigma:
+        for rule in sigma:
             if all(a.predicate in derivable for a in rule.body):
                 for a in rule.head:
                     if a.predicate not in derivable:
                         derivable.add(a.predicate)
                         changed = True
     return derivable
+
+
+def answerable_from(omq: OMQ, predicates: Iterable[str]) -> bool:
+    """Whether a database over *predicates* can give *omq* any answer: a
+    necessary condition, met when every predicate of some disjunct is
+    derivable from them under Σ.  Where it fails, ``Q(D)`` is empty."""
+    derivable = _derivable_predicates(omq.sigma, predicates)
+    return any(d.predicates() <= derivable for d in omq.as_ucq().disjuncts)
 
 
 def evaluate_omq(
@@ -237,8 +238,7 @@ def _evaluate_omq(
     # atom.  When every disjunct has one, the empty UCQ is the exact
     # rewriting; the attempt would only explore that useless space, whose
     # discarded duplicates its budget does not count, for minutes.
-    derivable = _derivable_predicates(omq)
-    if not any(d.predicates() <= derivable for d in query.disjuncts):
+    if not answerable_from(omq, omq.data_schema.predicates()):
         return EvaluationResult(set(), True, "rewriting")
     rewriting = cached_rewriting(omq, rewriting_budget)
     if rewriting.complete:

@@ -7,6 +7,7 @@ cache keys, verdict harvesting), and the ``repro catalog`` CLI.
 """
 
 import json
+import random
 import sqlite3
 
 import pytest
@@ -148,6 +149,90 @@ class TestPersistence:
         stamps = dict(conn.execute("SELECT key, value FROM meta"))
         conn.close()
         assert stamps["schema_version"] == CATALOG_SCHEMA_VERSION
+
+
+def _scc_oracle(nodes, edges):
+    """rep -> sorted members of every strongly connected component of two
+    or more *nodes* (mutual reachability over *edges*, least hash as rep),
+    and every node's rep."""
+    succ = {n: set() for n in nodes}
+    for src, dst in edges:
+        succ[src].add(dst)
+    reach = {}
+    for start in nodes:
+        seen, todo = {start}, [start]
+        while todo:
+            for nxt in succ[todo.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        reach[start] = seen
+    reps = {n: min(m for m in reach[n] if n in reach[m]) for n in nodes}
+    groups = {}
+    for n in sorted(nodes):
+        groups.setdefault(reps[n], []).append(n)
+    return (
+        {rep: tuple(ms) for rep, ms in sorted(groups.items()) if len(ms) > 1},
+        reps,
+    )
+
+
+def _edge_sequence(seed):
+    """A seeded sequence of facts over at most 40 hashes: random edges,
+    chains that one last edge closes into a long cycle, repeats of earlier
+    edges and self-loops."""
+    rng = random.Random(seed)
+    n = rng.choice((6, 15, 40))
+    hashes = [f"{rng.getrandbits(32):08x}" for _ in range(n)]
+    edges = []
+    while len(edges) < 3 * n:
+        roll = rng.random()
+        if roll < 0.15:
+            chain = rng.sample(hashes, rng.randint(3, min(12, n)))
+            edges += list(zip(chain, chain[1:])) + [(chain[-1], chain[0])]
+        elif roll < 0.25 and edges:
+            edges.append(rng.choice(edges))
+        elif roll < 0.3:
+            h = rng.choice(hashes)
+            edges.append((h, h))
+        else:
+            edges.append(tuple(rng.sample(hashes, 2)))
+    return hashes, edges
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_catalog_matches_scc_oracle(seed, tmp_path):
+    """After every fact, a memory catalog's and a file-backed catalog's
+    groups, reps and merge answers equal the strongly connected components
+    of the facts so far; every fifth fact the file is closed and reopened,
+    and its stored groups must need no merge to match."""
+    hashes, edges = _edge_sequence(seed)
+    path = str(tmp_path / "catalog.sqlite")
+    catalogs = [OMQCatalog(), OMQCatalog(path)]
+
+    def check(cat, facts):
+        groups, reps = _scc_oracle(hashes, facts)
+        assert cat.groups() == groups
+        assert {h: cat.rep(h) for h in hashes} == reps
+        assert cat.stats()["edges"] == len({e for e in facts if e[0] != e[1]})
+        return groups
+
+    before = {}
+    try:
+        for n, edge in enumerate(edges, 1):
+            for cat in catalogs:
+                merged = cat.note_contained(*edge)
+                after = check(cat, edges[:n])
+                assert merged == (after != before), edge
+            before = after
+            if n % 5 == 0:
+                catalogs[1].close()
+                catalogs[1] = OMQCatalog(path)
+                assert catalogs[1].merges == 0
+                check(catalogs[1], edges[:n])
+    finally:
+        for cat in catalogs:
+            cat.close()
 
 
 def _equivalent_pair():

@@ -17,6 +17,7 @@ suite pins that contract with randomized evidence:
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -49,7 +50,8 @@ def _answers(omq, db, mode):
 
 @pytest.mark.parametrize("fragment", FRAGMENTS)
 def test_cost_and_greedy_evaluation_agree(fragment):
-    rng = random.Random(hash(fragment) & 0xFFFF)
+    # crc32, not the per-process salted hash(): every run draws the same OMQs.
+    rng = random.Random(zlib.crc32(fragment.encode()) & 0xFFFF)
     for trial in range(8):
         omq = random_omq(fragment, rng)
         db = random_database(omq.data_schema, 6, 14, seed=trial)

@@ -365,6 +365,27 @@ class TestLiveServer:
             assert f"# TYPE {metric} counter" in text, metric
             assert f"{metric} {snapshot[name]}" in text, metric
 
+    def test_metrics_carry_witness_pruned_counter(self, tmp_path):
+        # The witness a 2-path gives against a 3-path is an E-database;
+        # an F-query shares the 3-path RHS, so that witness is its
+        # cross-pair candidate, and the necessary test refutes it.
+        e2 = "schema: E/2, F/2\nquery: q() :- E(x, y), E(y, z)\n"
+        e3 = "schema: E/2, F/2\nquery: q() :- E(x, y), E(y, z), E(z, w)\n"
+        f1 = "schema: E/2, F/2\nquery: q() :- F(x, y)\n"
+        name = "engine.witness.pruned"
+        with _Replica(witness_store=str(tmp_path / "w.sqlite")) as replica:
+            with replica.client() as client:
+                for q1 in (e2, f1):
+                    done = client.run(containment_doc(q1, e3))
+                    assert done["result"]["verdict"] == "not-contained", done
+                snapshot = client.metrics()["metrics"]
+                text = client.metrics_prometheus()
+            engine = replica.server.app.engine
+            assert engine.stats()["metrics"][name] == 1
+        assert snapshot[name] == 1
+        assert "# TYPE repro_engine_witness_pruned counter" in text
+        assert "repro_engine_witness_pruned 1" in text
+
     def test_debug_profile_reports_latency_and_live_profile(self):
         with _Replica(trace_mode="always") as replica:
             with replica.client() as client:

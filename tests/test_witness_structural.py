@@ -274,6 +274,78 @@ class TestStructuralReplay:
             assert result.value.method != "witness-replay"
 
 
+class TestNecessaryTest:
+    """A candidate whose witness cannot answer the job's Q1 — an answer
+    of the wrong arity, or a database from whose predicates Σ1 derives
+    no disjunct of Q1 — is refuted before any evaluation."""
+
+    SCHEMA = "schema: E/2, F/2\n"
+
+    def _omq(self, text):
+        return parse_omq(self.SCHEMA + text)
+
+    def _store_and_job(self, q1_text, rules=""):
+        q1 = self._omq(f"{rules}query: {q1_text}\n")
+        q2 = self._omq("query: q() :- E(x, y), E(y, z)\n")
+        a, b = Constant("a"), Constant("b")
+        metrics = MetricsRegistry()
+        store = WitnessStore(metrics=metrics)
+        # Same RHS hash as the job: only the membership side is checked.
+        f_db = Instance.of([Atom("F", (a, b))])
+        store.record("stored-lhs", hash_omq(q2), Witness(f_db, ()))
+        # Signature-keyed under the job's pair: a structural candidate,
+        # with a unary answer to a Boolean Q1.
+        store.record(
+            "other-lhs",
+            "other-rhs",
+            Witness(Instance.of([Atom("E", (a, b))]), (a,)),
+            lhs_sig=omq_signature(q1),
+            rhs_sig=omq_signature(q2),
+        )
+        return store, metrics, ContainmentJob(q1, q2)
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        import repro.evaluation
+
+        calls = []
+        real = repro.evaluation.evaluate_omq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.evaluation, "evaluate_omq", counting)
+        return calls
+
+    def test_unanswerable_candidates_are_pruned_unevaluated(self, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        store, metrics, job = self._store_and_job("q() :- E(x, y)")
+        assert store.replay(job) is None
+        assert calls == []
+        snap = metrics.snapshot()
+        assert snap["engine.witness.pruned"] == 2
+        assert snap["engine.witness.replays"] == 2
+        assert snap["engine.witness.structural.attempts"] == 1
+        # A pruned structural candidate still counts as a refuted replay.
+        assert snap["engine.witness.structural.refuted_replays"] == 1
+        assert snap["engine.witness.misses"] == 1
+
+    def test_derivable_disjunct_is_still_evaluated(self, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        # F(x, y) -> E(x, y) makes E derivable from the F-database, so
+        # that candidate passes the test, and one membership evaluation
+        # (the stored RHS needs none) confirms the hit.
+        store, metrics, job = self._store_and_job(
+            "q() :- E(x, y)", rules="rules:\n    F(x, y) -> E(x, y)\n"
+        )
+        result = store.replay(job)
+        assert result is not None and result.verdict is Verdict.NOT_CONTAINED
+        assert "rhs" in result.detail
+        assert len(calls) == 1
+        assert metrics.snapshot().get("engine.witness.pruned", 0) == 0
+
+
 class TestDifferentialParity:
     """Replay-on vs replay-off verdict parity over perturbed-pair draws.
 
