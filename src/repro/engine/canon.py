@@ -26,8 +26,8 @@ For pathologically symmetric inputs whose search space exceeds
 variable's *name* as the final tie-break — still deterministic, and still
 invariant under atom/rule reordering, but not under adversarial renaming
 of automorphic variables.  The fallback is flagged on the result so
-callers can observe it; no test-suite or generator input comes close to
-the budget.
+callers can observe it; no generator input comes close to the budget
+(``tests/test_canon_parity.py`` pins one body past it).
 
 Head variables of a CQ are *pinned*: their canonical identity is their
 first-occurrence position in the head (that position is semantic — it
@@ -45,7 +45,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.atoms import Atom
 from ..core.omq import OMQ
@@ -53,7 +53,6 @@ from ..core.queries import CQ, UCQ
 from ..core.schema import Schema
 from ..core.terms import Constant, Null, Term, Variable
 from ..core.tgd import TGD
-from ..kernel.intern import INTERN
 
 #: Version tag mixed into every digest; bump on any rendering change.
 CANON_VERSION = "1"
@@ -71,203 +70,127 @@ class CanonicalForm:
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Canonical labeling
 # ---------------------------------------------------------------------------
 
+#: One compiled atom: its tag, its predicate, and per argument either the
+#: index of a free variable or the fixed rendering of any other term.
+_Row = Tuple[str, str, List[Union[int, str]]]
 
-def _render_term(
-    t: Term,
-    pins: Mapping[Variable, int],
-    assignment: Mapping[Variable, int],
-) -> str:
+
+def _fixed(t: Term, pins: Mapping[str, str]) -> str:
+    """The rendering of a term that no labeling moves."""
     if isinstance(t, Constant):
         return f"c:{t.name}"
     if isinstance(t, Null):
         return f"n:{t.ident}"
-    if t in pins:
-        return f"h:{pins[t]}"
-    return f"x:{assignment[t]}"
+    return pins[t.name]
 
 
-def _render_atoms(
-    tagged_atoms: Sequence[Tuple[str, Atom]],
-    pins: Mapping[Variable, int],
-    assignment: Mapping[Variable, int],
-) -> Tuple[str, ...]:
-    return tuple(
-        sorted(
-            f"{tag}|{a.predicate}({','.join(_render_term(t, pins, assignment) for t in a.args)})"
-            for tag, a in tagged_atoms
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
-# Colour refinement
-# ---------------------------------------------------------------------------
-
-
-def _refine_colours(
-    tagged_atoms: Sequence[Tuple[str, Atom]],
-    pins: Mapping[Variable, int],
-    free: Sequence[Variable],
-) -> Dict[Variable, int]:
+def _refine_colours(rows: Sequence[_Row], n: int) -> List[int]:
     """Iterated colour refinement; returns each free variable's colour rank.
 
-    The inner loop runs entirely over integers.  Before iterating, every
-    symbol the refinement compares is replaced by an *order-preserving
-    rank* of the string the pre-interned refinement would have built — tag
-    ranks, predicate ranks, one rank per distinct fixed-slot rendering
-    (``c:``/``h:``/``n:``, all of which sort below ``w:``), and a
-    ``strrank`` table mapping each colour number to the rank of its
-    decimal rendering (``"w:10" < "w:2"`` lexicographically, so numeric
-    colour order is *not* string order).  Rank order equals string order,
-    so the colour classes — and, critically, their rank order, which fixes
-    the admissible labeling set downstream — are byte-for-byte the same as
-    the string-based refinement's; strings themselves are only rendered at
-    the final labeling.  Terms are keyed by their kernel intern ids
-    (:data:`~repro.kernel.intern.INTERN`), so the compile pass hashes ints,
-    not dataclasses.
+    A variable's initial colour is the sorted multiset of the (tag,
+    predicate, arity, position) slots it occurs at.  Each round then adds
+    the sorted list of the atoms around it, with co-arguments shown by
+    their fixed rendering or their colour as ``w:<colour>`` (above every
+    ``c:``/``h:``/``n:`` rendering; colours compare as decimal strings),
+    until the number of colours stops growing.  When the initial colouring
+    is already discrete — always so with at most one free variable — a
+    round would hand the same ranks back, so none is run.
     """
-    if not free:
-        return {}
-    n = len(free)
-    var_ix = {INTERN.term_id(v): i for i, v in enumerate(free)}
-    tag_rank = {
-        t: r for r, t in enumerate(sorted({tag for tag, _ in tagged_atoms}))
-    }
-    pred_rank = {
-        p: r
-        for r, p in enumerate(sorted({a.predicate for _, a in tagged_atoms}))
-    }
-
-    # Compile each atom once: (tag rank, predicate rank, arity, arg codes)
-    # where a free variable is ``-var_index - 1`` and a fixed term is a
-    # placeholder resolved to its string rank below.
-    fixed_strs: Dict[int, str] = {}
-    compiled: List[Tuple[int, int, int, List[int]]] = []
-    for tag, a in tagged_atoms:
-        codes: List[int] = []
-        for t in a.args:
-            tid = INTERN.term_id(t)
-            i = var_ix.get(tid)
-            if i is not None:
-                codes.append(-i - 1)
-            else:
-                if tid not in fixed_strs:
-                    if isinstance(t, Constant):
-                        fixed_strs[tid] = f"c:{t.name}"
-                    elif isinstance(t, Null):
-                        fixed_strs[tid] = f"n:{t.ident}"
-                    else:
-                        fixed_strs[tid] = f"h:{pins[t]}"
-                codes.append(tid)
-        compiled.append((tag_rank[tag], pred_rank[a.predicate], a.arity, codes))
-    fixed_rank = {
-        s: r for r, s in enumerate(sorted(set(fixed_strs.values())))
-    }
-    for entry in compiled:
-        codes = entry[3]
-        for pos, code in enumerate(codes):
-            if code >= 0:
-                codes[pos] = fixed_rank[fixed_strs[code]]
-    base = len(fixed_rank)
-    # Rank of each colour number's decimal string ("w:..." slots compare
-    # as strings); colours are always < n.
-    strrank = [0] * n
-    for r, colour in enumerate(sorted(range(n), key=str)):
-        strrank[colour] = r
-
-    # Initial colour: the multiset of (tag, predicate, arity, position)
-    # occurrences, via their ranks.
-    occurrences: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for trk, prk, arity, codes in compiled:
-        for pos, code in enumerate(codes):
-            if code < 0:
-                occurrences[-code - 1].append((trk, prk, arity, pos))
+    occurrences: List[List[Tuple[str, str, int, int]]] = [[] for _ in range(n)]
+    for tag, predicate, args in rows:
+        for pos, arg in enumerate(args):
+            if arg.__class__ is int:
+                occurrences[arg].append((tag, predicate, len(args), pos))
     keys = [tuple(sorted(occ)) for occ in occurrences]
-    init_rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-    colours = [init_rank[k] for k in keys]
-
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    colours = [rank[k] for k in keys]
+    if len(rank) == n:
+        return colours
     for _ in range(n):
         views: List[List[Tuple]] = [[] for _ in range(n)]
-        for trk, prk, _arity, codes in compiled:
+        for tag, predicate, args in rows:
             slots = tuple(
-                code if code >= 0 else base + strrank[colours[-code - 1]]
-                for code in codes
+                f"w:{colours[arg]}" if arg.__class__ is int else arg
+                for arg in args
             )
-            for pos, code in enumerate(codes):
-                if code < 0:
-                    views[-code - 1].append((trk, prk, pos, slots))
-        new_keys = [
-            (colours[i], tuple(sorted(views[i]))) for i in range(n)
-        ]
+            for pos, arg in enumerate(args):
+                if arg.__class__ is int:
+                    views[arg].append((tag, predicate, pos, slots))
+        new_keys = [(colours[i], tuple(sorted(views[i]))) for i in range(n)]
         ranks = {k: r for r, k in enumerate(sorted(set(new_keys)))}
         new_colours = [ranks[k] for k in new_keys]
         if len(ranks) == len(set(colours)):
-            colours = new_colours
-            break
+            return new_colours
         colours = new_colours
-    return {free[i]: colours[i] for i in range(n)}
-
-
-# ---------------------------------------------------------------------------
-# Canonical labeling
-# ---------------------------------------------------------------------------
+    return colours
 
 
 def _canonical_atoms(
-    tagged_atoms: Sequence[Tuple[str, Atom]],
-    pinned: Sequence[Variable] = (),
-) -> Tuple[Tuple[str, ...], Dict[Variable, int], bool]:
+    tagged_atoms: Sequence[Tuple[str, Atom]], pins: Mapping[str, str]
+) -> Tuple[Tuple[str, ...], bool]:
     """The least rendering of *tagged_atoms* over admissible labelings.
 
-    Returns ``(sorted rendered atoms, variable assignment, exact)``.
+    The atoms are compiled once into rows whose arguments are free-variable
+    indices (variables keyed by name) or fixed renderings, *pins* giving
+    each pinned variable's, and every candidate labeling renders from the
+    rows.  Returns ``(sorted rendered atoms, exact)``.
     """
-    pins: Dict[Variable, int] = {}
-    for v in pinned:
-        if v not in pins:
-            pins[v] = len(pins)
-    seen: Dict[Variable, None] = {}
-    for _, a in tagged_atoms:
+    free: Dict[str, int] = {}
+    rows: List[_Row] = []
+    for tag, a in tagged_atoms:
+        args: List[Union[int, str]] = []
         for t in a.args:
-            if isinstance(t, Variable) and t not in pins:
-                seen.setdefault(t, None)
-    free = list(seen)
-    if not free:
-        return _render_atoms(tagged_atoms, pins, {}), {}, True
+            if t.__class__ is Variable and t.name not in pins:
+                args.append(free.setdefault(t.name, len(free)))
+            else:
+                args.append(_fixed(t, pins))
+        rows.append((tag, a.predicate, args))
+    n = len(free)
+    if n < 2:
+        return _render(rows, range(n)), True
 
-    colours = _refine_colours(tagged_atoms, pins, free)
-    classes: List[List[Variable]] = []
-    for rank in sorted(set(colours.values())):
-        classes.append([v for v in free if colours[v] == rank])
-
+    colours = _refine_colours(rows, n)
+    classes = [
+        [i for i in range(n) if colours[i] == rank]
+        for rank in sorted(set(colours))
+    ]
     search_space = 1
     for cls in classes:
         search_space *= factorial(len(cls))
         if search_space > LABELING_BUDGET:
-            break
-    if search_space > LABELING_BUDGET:
-        # Deterministic fallback: refinement order, then variable name.
-        assignment: Dict[Variable, int] = {}
-        for cls in classes:
-            for v in sorted(cls, key=lambda v: v.name):
-                assignment[v] = len(assignment)
-        return _render_atoms(tagged_atoms, pins, assignment), assignment, False
+            # Deterministic fallback: refinement order, then variable name.
+            names = list(free)
+            order = [
+                i for cls in classes for i in sorted(cls, key=names.__getitem__)
+            ]
+            return _render(rows, order), False
 
-    best: Optional[Tuple[Tuple[str, ...], Dict[Variable, int]]] = None
+    best: Optional[Tuple[str, ...]] = None
     for perms in itertools.product(
         *(itertools.permutations(cls) for cls in classes)
     ):
-        assignment = {}
-        for perm in perms:
-            for v in perm:
-                assignment[v] = len(assignment)
-        rendered = _render_atoms(tagged_atoms, pins, assignment)
-        if best is None or rendered < best[0]:
-            best = (rendered, assignment)
+        rendered = _render(rows, [i for perm in perms for i in perm])
+        if best is None or rendered < best:
+            best = rendered
     assert best is not None
-    return best[0], best[1], True
+    return best, True
+
+
+def _render(rows: Sequence[_Row], order: Sequence[int]) -> Tuple[str, ...]:
+    """The sorted atoms under the labeling giving ``order[k]`` label ``k``."""
+    labels = [""] * len(order)
+    for k, i in enumerate(order):
+        labels[i] = f"x:{k}"
+    return tuple(
+        sorted(
+            f"{tag}|{predicate}("
+            f"{','.join([labels[a] if a.__class__ is int else a for a in args])})"
+            for tag, predicate, args in rows
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +200,12 @@ def _canonical_atoms(
 
 def canonical_cq(q: CQ) -> CanonicalForm:
     """Canonical text of a CQ (name-independent, α- and order-invariant)."""
-    pinned = [t for t in q.head if isinstance(t, Variable)]
-    tagged = [("B", a) for a in q.body]
-    rendered, assignment, exact = _canonical_atoms(tagged, pinned)
-    pins: Dict[Variable, int] = {}
-    for v in pinned:
-        if v not in pins:
-            pins[v] = len(pins)
-    head = ",".join(_render_term(t, pins, assignment) for t in q.head)
+    pins: Dict[str, str] = {}
+    for t in q.head:
+        if isinstance(t, Variable):
+            pins.setdefault(t.name, f"h:{len(pins)}")
+    rendered, exact = _canonical_atoms([("B", a) for a in q.body], pins)
+    head = ",".join(_fixed(t, pins) for t in q.head)
     return CanonicalForm(f"({head})<-[{';'.join(rendered)}]", exact)
 
 
@@ -298,7 +219,7 @@ def canonical_ucq(q: UCQ) -> CanonicalForm:
 def canonical_tgd(t: TGD) -> CanonicalForm:
     """Canonical text of a single tgd (all variables are searched)."""
     tagged = [("B", a) for a in t.body] + [("H", a) for a in t.head]
-    rendered, _, exact = _canonical_atoms(tagged)
+    rendered, exact = _canonical_atoms(tagged, {})
     return CanonicalForm(";".join(rendered), exact)
 
 
@@ -344,7 +265,7 @@ def canonical_instance(instance) -> CanonicalForm:
         for n in sorted(instance.nulls(), key=lambda n: str(n.ident))
     }
     tagged = [("I", a.substitute(blanks)) for a in instance.atoms]
-    rendered, _, exact = _canonical_atoms(tagged)
+    rendered, exact = _canonical_atoms(tagged, {})
     return CanonicalForm(";".join(rendered), exact)
 
 

@@ -74,8 +74,10 @@ Accounting (all visible in ``BatchEngine.stats()`` / ``repro batch
   outcomes: submissions refused upfront because the budget could not
   cover a fresh decision, and admitted handles abandoned at expiry
   (:class:`DeadlinePolicy`);
-* ``engine.catalog.short_circuits`` / ``.noted`` / ``.merges`` — catalog
-  hits, recorded containment facts, and group merges.
+* ``engine.catalog.short_circuits`` / ``.same_hash`` / ``.noted`` /
+  ``.merges`` — pairs answered from a proven-equivalent catalog group,
+  pairs answered because both sides share one canonical hash, recorded
+  containment facts, and group merges.
 
 Thread model: ``submit``/``cancel`` may be called from any thread; handle
 resolution runs on the pool's coordinator thread via ticket callbacks.
@@ -659,18 +661,24 @@ class Scheduler:
         return handle
 
     def _catalog_equivalence(self, job: Any) -> Any:
-        """A CONTAINED result if the catalog puts both sides of *job* in
-        one proven-equivalent group, else ``None``."""
+        """A CONTAINED result if both sides of *job* have one canonical
+        form, or the catalog puts them in one proven-equivalent group,
+        else ``None``."""
         assert self.catalog is not None
         if getattr(job, "kind", None) != "containment":
             return None
         if not hasattr(job, "content_hashes"):
             return None
         h1, h2 = job.content_hashes()
-        if not self.catalog.equivalent(h1, h2):
-            return None
         from ..containment.result import contained
 
+        if h1 == h2:
+            self.metrics.counter("engine.catalog.same_hash").inc()
+            return contained(
+                "catalog-equivalence", "both OMQs have one canonical form"
+            )
+        if not self.catalog.equivalent(h1, h2):
+            return None
         self.metrics.counter("engine.catalog.short_circuits").inc()
         return contained(
             "catalog-equivalence",

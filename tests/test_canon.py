@@ -175,3 +175,22 @@ class TestCanonicalFormProperties:
         assert q1.is_isomorphic_to(q2) == (
             canonical_cq(q1).text == canonical_cq(q2).text
         )
+
+
+def test_hashing_interns_no_terms():
+    """Canonical labeling keys variables by name, so hashing adds nothing
+    to the kernel's process-wide intern table (which a serving replica
+    keeps for its lifetime)."""
+    import random
+    import zlib
+
+    from repro.generators import random_omq_pair
+    from repro.kernel.intern import INTERN
+
+    rng = random.Random(zlib.crc32(b"intern"))
+    pairs = [random_omq_pair("linear", rng, "alpha")[:2] for _ in range(300)]
+    before = INTERN.sizes()
+    for q1, q2 in pairs:
+        hash_omq(q1)
+        hash_omq(q2)
+    assert INTERN.sizes() == before

@@ -3,15 +3,20 @@
 import pytest
 
 from repro.core.atoms import atom, fact
+from repro.core.omq import OMQ
 from repro.core.parser import (
     ParseError,
     parse_atom,
     parse_cq,
     parse_database,
+    parse_omq,
     parse_tgd,
     parse_tgds,
     parse_ucq,
 )
+from repro.core.queries import CQ, UCQ
+from repro.core.schema import Schema
+from repro.core.serialize import omq_to_document
 from repro.core.terms import Constant, Variable
 
 x, y, w = Variable("x"), Variable("y"), Variable("w")
@@ -138,3 +143,71 @@ class TestDatabaseParsing:
     def test_zero_ary_fact(self):
         db = parse_database("Goal()")
         assert atom("Goal") in db
+
+
+class TestQuotedSeparators:
+    """Statements split at periods and disjuncts at bars only outside
+    quoted constants, so every constant the serializer quotes reads back."""
+
+    def test_period_inside_a_quoted_constant(self):
+        db = parse_database("R('a. b'). P(c).")
+        assert set(db) == {fact("R", "a. b"), fact("P", "c")}
+
+    def test_bar_inside_a_quoted_constant(self):
+        omq = parse_omq("schema: B/2\nquery: q(x) :- B(x, 'p | q')\n")
+        assert omq.query == CQ((x,), (atom("B", x, Constant("p | q")),), "q")
+
+    def test_document_round_trip(self):
+        y = Variable("y")
+        omq = OMQ(
+            Schema({"B": 2}),
+            tuple(parse_tgds("B(x, y) -> P(x)")),
+            UCQ(
+                (
+                    CQ((x,), (atom("B", x, Constant("p | q")),), "q"),
+                    CQ((x,), (atom("B", x, y), atom("P", Constant("a. b"))), "q"),
+                ),
+                "q",
+            ),
+        )
+        assert parse_omq(omq_to_document(omq)) == omq
+
+
+#: One input per error path, and the message it raised before statements
+#: and disjuncts were split on tokens.
+ERRORS = [
+    (parse_atom, "R(x$)", "unexpected character '$' at offset 3"),
+    (parse_atom, " R(x$)", "unexpected character '$' at offset 4"),
+    (parse_atom, "R(x y)", "expected rpar, got 'y'"),
+    (parse_atom, "(x)", "expected ident, got '('"),
+    (parse_atom, "R(x,", "unexpected end of input"),
+    (parse_atom, "R(->)", "expected a term, got '->'"),
+    (parse_atom, "R(x) R(y)", "trailing input after atom: 'R(x) R(y)'"),
+    (parse_tgd, "P(x) R(x)", "expected arrow, got 'R'"),
+    (parse_tgd, "P(x) ->", "unexpected end of input"),
+    (parse_tgd, "P(x) -> R(x) S", "trailing input after tgd: 'P(x) -> R(x) S'"),
+    (parse_tgds, "P(x) -> Q(x)\nR(x$) -> S(x)", "unexpected character '$' at offset 3"),
+    (parse_tgds, "P(x) -> Q(x). R($) -> S(x)", "unexpected character '$' at offset 2"),
+    (parse_tgds, "P(x).Q(x)", "expected arrow, got '.'"),
+    (parse_tgds, "P(x) -> Q(x) S(x) .. T(x) -> U(x)", "trailing input after tgd: 'P(x) -> Q(x) S(x) '"),
+    (parse_cq, "q(x) :-", "unexpected end of input"),
+    (parse_cq, "q(x) P(x) :- P(x)", "expected entails, got 'P'"),
+    (parse_cq, "q(x) :- P(x) Q(x)", "trailing input after CQ: 'q(x) :- P(x) Q(x)'"),
+    (parse_cq, "P(x) Q(x)", "trailing input after CQ body: 'P(x) Q(x)'"),
+    (parse_ucq, "q(x) :- P(x) | q(x) :- T($)", "unexpected character '$' at offset 10"),
+    (parse_ucq, "   ", "empty UCQ"),
+    (parse_ucq, "% only a comment", "empty UCQ"),
+    (parse_database, "R(a) S(b)", "trailing input in database statement: 'R(a) S(b)'"),
+    (parse_database, "R(a). P(b$)", "unexpected character '$' at offset 3"),
+    (parse_omq, "rules:\n P(x) -> Q(x)\nquery: q(x) :- Q(x)\n", "missing 'schema:' section"),
+    (parse_omq, "schema: P/1\nrules:\n P(x) -> Q(x)\n", "missing 'query:' section"),
+    (parse_omq, "P(x)\nschema: P/1\nquery: q(x) :- P(x)\n", "line outside any section: 'P(x)'"),
+    (parse_omq, "schema: P\nquery: q(x) :- P(x)\n", "schema entries look like Name/arity: 'P'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", ERRORS)
+def test_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message

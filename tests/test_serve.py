@@ -386,6 +386,24 @@ class TestLiveServer:
         assert "# TYPE repro_engine_witness_pruned counter" in text
         assert "repro_engine_witness_pruned 1" in text
 
+    def test_same_hash_pairs_are_not_catalog_group_hits(self, tmp_path):
+        # Two spellings of one OMQ share a canonical hash: the catalog
+        # rung answers them without consulting any group, and says so.
+        a = "schema: E/2\nquery: q(x) :- E(x, y), E(y, z)\n"
+        b = "schema: E/2\nquery: q(u) :- E(v, w), E(u, v)\n"
+        with _Replica(catalog=str(tmp_path / "c.sqlite")) as replica:
+            with replica.client() as client:
+                done = client.run(containment_doc(a, b))
+                snapshot = client.metrics()["metrics"]
+                text = client.metrics_prometheus()
+        assert done["result"]["method"] == "catalog-equivalence", done
+        assert done["result"]["detail"] == "both OMQs have one canonical form"
+        assert snapshot["engine.catalog.same_hash"] == 1
+        assert snapshot.get("engine.catalog.short_circuits", 0) == 0
+        assert "# TYPE repro_engine_catalog_same_hash counter" in text
+        assert "repro_engine_catalog_same_hash 1" in text
+        assert "repro_engine_catalog_short_circuits" not in text
+
     def test_debug_profile_reports_latency_and_live_profile(self):
         with _Replica(trace_mode="always") as replica:
             with replica.client() as client:
