@@ -27,19 +27,15 @@ guarded OMQs, cf. Section 5's discussion of the infinite guarded chase).
 A ``goal`` — a query and an answer tuple — stops the chase as soon as the
 answer holds: the chase is then a search for a proof, not for a model.
 
-Trigger discovery comes in two strategies:
-
-* ``strategy="delta"`` (default) — semi-naive evaluation on a
-  :class:`~repro.kernel.instance.WorkingInstance`: each round only searches
-  for triggers whose body image touches an atom added since the previous
-  round (:func:`repro.kernel.delta_triggers`).  Because trigger levels are
-  immutable and fired-trigger keys are remembered, the firing sequence —
-  and hence the output instance, step count, levels, and log — is
-  *identical* to the naive strategy's.
-* ``strategy="naive"`` — the pre-kernel algorithm: re-enumerate every
-  trigger over a freshly frozen snapshot each round and skip the
-  already-fired ones.  Kept as the reference for parity tests and as the
-  benchmark baseline.
+Trigger discovery is semi-naive, on a
+:class:`~repro.kernel.instance.WorkingInstance`: each round only searches
+for triggers whose body image touches an atom added since the previous
+round (:func:`repro.kernel.delta_triggers`).  Within a (round, rule) the
+new triggers fire sorted by their ``(str(k), str(v))`` pairs.  Trigger
+levels are immutable and fired-trigger keys are remembered, so the run —
+output instance, step count, levels and log — is that of the chase by
+rounds that re-enumerates every trigger each round.  ``tests/oracle.py``
+writes that chase without the kernel, and the tests hold this one to it.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.atoms import Atom
-from ..core.homomorphism import find_homomorphism, homomorphisms
 from ..core.instance import Instance
 from ..core.queries import CQ, UCQ
 from ..core.terms import NullFactory, Term, Variable
@@ -115,8 +110,7 @@ def _satisfies_head(instance, rule: TGD, assignment: Dict[Term, Term]) -> bool:
     """Is the head already satisfied with this frontier assignment?
 
     Existential variables may be re-witnessed by any term, so we search for
-    an extension of the frontier part of the assignment into the instance
-    (a frozen Instance or a live WorkingInstance).
+    an extension of the frontier part of the assignment into the instance.
     """
     frontier_fixed = {
         v: assignment[v] for v in rule.frontier() if v in assignment
@@ -137,7 +131,6 @@ def chase(
     max_depth: Optional[int] = None,
     partial: bool = False,
     null_factory: Optional[NullFactory] = None,
-    strategy: str = "delta",
     goal: Optional[Tuple[Union[CQ, UCQ], Sequence[Term]]] = None,
 ) -> ChaseResult:
     """Run the chase of *instance* under *sigma*.
@@ -157,12 +150,8 @@ def chase(
     partial:
         Return a non-terminated :class:`ChaseResult` instead of raising when
         the step budget runs out.
-    strategy:
-        ``"delta"`` (semi-naive trigger discovery, the default) or
-        ``"naive"`` (full re-enumeration each round).  Both produce the
-        same result, step for step.
     goal:
-        A ``(query, answer)`` pair (delta strategy only).  The chase tests
+        A ``(query, answer)`` pair.  The chase tests
         ``answer ∈ query(I)`` before the first step and after every step
         that adds a fact over one of the query's predicates, and stops as
         soon as it holds, with ``goal_reached`` set and ``terminated``
@@ -171,33 +160,7 @@ def chase(
     """
     if policy not in ("restricted", "oblivious"):
         raise ValueError(f"unknown chase policy: {policy}")
-    if strategy not in ("delta", "naive"):
-        raise ValueError(f"unknown chase strategy: {strategy}")
-    if goal is not None and strategy != "delta":
-        raise ValueError("a chase goal needs the delta strategy")
-    options = dict(
-        policy=policy,
-        max_steps=max_steps,
-        max_depth=max_depth,
-        partial=partial,
-        nulls=null_factory or NullFactory(),
-    )
-    if strategy == "naive":
-        return _chase_naive(instance, sigma, **options)
-    return _chase_delta(instance, sigma, goal=goal, **options)
-
-
-def _chase_delta(
-    instance: Instance,
-    sigma: Sequence[TGD],
-    *,
-    policy: str,
-    max_steps: int,
-    max_depth: Optional[int],
-    partial: bool,
-    nulls: NullFactory,
-    goal: Optional[Tuple[Union[CQ, UCQ], Sequence[Term]]],
-) -> ChaseResult:
+    nulls = null_factory or NullFactory()
     work = WorkingInstance.from_instance(instance)
     levels: Dict[Term, int] = {t: 0 for t in instance.domain()}
     fired: Set[Tuple] = set()
@@ -217,9 +180,7 @@ def _chase_delta(
         "kernel.chase.round_size", buckets=_ROUND_SIZE_BUCKETS
     )
 
-    with obs.span(
-        "chase.run", strategy="delta", policy=policy, rules=len(sigma)
-    ) as run_span:
+    with obs.span("chase.run", policy=policy, rules=len(sigma)) as run_span:
 
         def make_result(
             terminated: bool, goal_reached: bool = False
@@ -253,9 +214,9 @@ def _chase_delta(
                     # New triggers only: homomorphisms into the round-start
                     # window that touch at least one atom added since the
                     # previous round.  Within a (round, rule) they fire in
-                    # the same deterministic order the naive strategy visits
-                    # them, so the whole run — nulls, steps, log — is
-                    # reproduced exactly.
+                    # the order a full re-enumeration sorts them into, so
+                    # the whole run — nulls, steps, log — is that of the
+                    # chase by rounds.
                     triggers = sorted(
                         delta_triggers(bodies[i], work, old_mark, new_mark),
                         key=_trigger_sort_key,
@@ -324,111 +285,6 @@ def _chase_delta(
                 round_span.add("new_facts", new_facts)
             first_round = False
             old_mark, new_mark = new_mark, work.watermark()
-        return make_result(True)
-
-
-def _chase_naive(
-    instance: Instance,
-    sigma: Sequence[TGD],
-    *,
-    policy: str,
-    max_steps: int,
-    max_depth: Optional[int],
-    partial: bool,
-    nulls: NullFactory,
-) -> ChaseResult:
-    """The pre-kernel chase, verbatim: re-enumerate triggers every round."""
-    atoms: Set[Atom] = set(instance.atoms)
-    levels: Dict[Term, int] = {t: 0 for t in instance.domain()}
-    fired: Set[Tuple] = set()
-    log: List[ChaseStep] = []
-    steps = 0
-    rules = [(i, r) for i, r in enumerate(sigma)]
-    frontiers = {
-        i: tuple(sorted(r.frontier(), key=lambda v: v.name)) for i, r in rules
-    }
-
-    run_span = obs.span(
-        "chase.run", strategy="naive", policy=policy, rules=len(sigma)
-    )
-
-    def make_result(terminated: bool) -> ChaseResult:
-        run_span.set("steps", steps)
-        run_span.set("terminated", terminated)
-        return ChaseResult(Instance(frozenset(atoms)), steps, terminated, levels, log)
-
-    changed = True
-    round_no = 0
-    with run_span:
-        while changed:
-            changed = False
-            round_no += 1
-            round_facts = len(atoms)
-            round_steps = steps
-            current = Instance(frozenset(atoms))
-            with obs.span("chase.round", n=round_no) as round_span:
-                for i, rule in rules:
-                    # Enumerate triggers over the *round-start* snapshot; new
-                    # atoms become visible next round, which keeps the run
-                    # fair (FIFO by rounds) and deterministic.
-                    for h in sorted(
-                        homomorphisms(rule.body, current),
-                        key=_trigger_sort_key,
-                    ):
-                        key = _trigger_key(i, h, frontiers[i])
-                        if key in fired:
-                            continue
-                        trigger_level = max(
-                            (
-                                levels.get(h[v], 0)
-                                for v in rule.body_variables()
-                            ),
-                            default=0,
-                        )
-                        if max_depth is not None and trigger_level >= max_depth:
-                            continue
-                        live = Instance(frozenset(atoms))
-                        if policy == "restricted" and _satisfies_head(
-                            live, rule, h
-                        ):
-                            fired.add(key)
-                            continue
-                        if steps >= max_steps:
-                            result = make_result(False)
-                            if partial:
-                                return result
-                            raise ChaseBudgetExceeded(result)
-                        assignment = dict(h)
-                        for z in sorted(
-                            rule.existential_variables(), key=lambda v: v.name
-                        ):
-                            fresh = nulls.fresh()
-                            assignment[z] = fresh
-                            levels[fresh] = trigger_level + 1
-                        added: List[Atom] = []
-                        for head_atom in rule.head:
-                            new_atom = head_atom.substitute(assignment)
-                            for t in new_atom.args:
-                                levels.setdefault(t, 0)
-                            if new_atom not in atoms:
-                                atoms.add(new_atom)
-                                added.append(new_atom)
-                        fired.add(key)
-                        steps += 1
-                        changed = True
-                        log.append(
-                            ChaseStep(
-                                i,
-                                tuple(
-                                    sorted(
-                                        h.items(), key=lambda kv: str(kv[0])
-                                    )
-                                ),
-                                tuple(added),
-                            )
-                        )
-                round_span.add("fired", steps - round_steps)
-                round_span.add("new_facts", len(atoms) - round_facts)
         return make_result(True)
 
 

@@ -100,7 +100,8 @@ def _statements(lines: Iterable[str]) -> Iterator[Tuple[str, List[str]]]:
     """Split lines into statements ``(text, parts)``: a line's tokens up to
     each period that whitespace or the end of the line follows.  Quoted
     strings and comments are single tokens, so separators inside them
-    split nothing.  Trailing periods are dropped from the text and the
+    split nothing, and a comment after a statement's period is no
+    statement.  Trailing periods are dropped from the text and the
     parts."""
     for raw_line in lines:
         line = raw_line.strip()
@@ -117,7 +118,7 @@ def _statements(lines: Iterable[str]) -> Iterator[Tuple[str, List[str]]]:
         for piece in _cut(parts, stops):
             text, piece = _trimmed(piece)
             text = text.rstrip(".")
-            if not text:
+            if not text or text.startswith(("%", "#")):
                 continue
             while len(piece) > 1 and piece[-2] == "." and not piece[-1]:
                 del piece[-3:]
@@ -325,10 +326,13 @@ def parse_omq(text: str, name: str = "Q"):
         piece = piece.strip()
         if not piece:
             continue
-        if "/" not in piece:
-            raise ParseError(f"schema entries look like Name/arity: {piece!r}")
         pred, _, arity = piece.partition("/")
-        relations[pred.strip()] = int(arity)
+        try:
+            relations[pred.strip()] = int(arity)
+        except ValueError:
+            raise ParseError(
+                f"schema entries look like Name/arity: {piece!r}"
+            ) from None
     terms: Dict[str, Term] = {}
     sigma = _tgds(rule_lines, terms)
     ucq = _ucq(query_lines, None, terms)

@@ -26,7 +26,6 @@ from .core.instance import Instance
 from .core.omq import OMQ, TGDClass
 from .core.terms import Term
 from .engine.registry import register_cache
-from .kernel import plan as kernel_plan
 from . import obs
 from .fragments.weak import is_weakly_acyclic
 from .rewriting.xrewrite import (
@@ -143,14 +142,8 @@ def evaluate_omq(
     """
     # One span per top-level evaluation; the strategy dispatch below
     # recurses through _evaluate_omq so "auto" does not nest a second span.
-    # The planner mode is recorded because it is the one kernel-level knob
-    # that changes how this evaluation's joins execute (never what they
-    # return) — traces comparing cost vs greedy runs need it on the span.
     with obs.span(
-        "evaluate.omq",
-        method=method,
-        db_atoms=len(database.atoms),
-        planner=kernel_plan.default_planner(),
+        "evaluate.omq", method=method, db_atoms=len(database.atoms)
     ) as ev:
         result = _evaluate_omq(
             omq,

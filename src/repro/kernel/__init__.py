@@ -12,7 +12,7 @@ search, built once and shared:
   per-(predicate, position) cardinality statistics) and the
   frozen-instance adapter;
 * :mod:`repro.kernel.plan` — the cost-based join-order planner and its
-  bounded plan cache (:func:`use_planner` switches cost/greedy modes);
+  bounded plan cache;
 * :mod:`repro.kernel.search` — the compiled, index-driven backtracking
   :class:`HomSearch` plus the memoizing :func:`compiled_search` factory;
 * :mod:`repro.kernel.delta` — semi-naive (delta-driven) trigger discovery
@@ -32,15 +32,7 @@ from .instance import (
 )
 from .intern import INTERN, InternTable
 from .metrics import KERNEL_METRICS, flush_cardinality, kernel_snapshot
-from .plan import (
-    COST,
-    GREEDY,
-    PLANS,
-    default_planner,
-    plan_cache_stats,
-    set_default_planner,
-    use_planner,
-)
+from .plan import PLANS, plan_cache_stats
 from .search import (
     HomSearch,
     atom_str,
@@ -69,11 +61,6 @@ __all__ = [
     "KERNEL_METRICS",
     "kernel_snapshot",
     "flush_cardinality",
-    "COST",
-    "GREEDY",
     "PLANS",
-    "default_planner",
-    "set_default_planner",
-    "use_planner",
     "plan_cache_stats",
 ]

@@ -1,7 +1,7 @@
 """Delta-driven (semi-naive) trigger discovery for the chase.
 
 A chase round must find every homomorphism of a rule body into the current
-instance that it has not seen before.  The naive engine re-enumerates all
+instance that it has not seen before.  A naive chase re-enumerates all
 of them each round and skips the already-fired ones; this module
 enumerates exactly the *new* ones — the homomorphisms that touch at least
 one atom added since the previous round — using the standard semi-naive

@@ -36,7 +36,7 @@ from __future__ import annotations
 from threading import RLock
 from typing import Dict, List, Tuple
 
-from ..core.terms import Null, Term, Variable
+from ..core.terms import Term
 from ..engine.registry import register_cache
 
 
@@ -46,7 +46,6 @@ class InternTable:
     __slots__ = (
         "_term_ids",
         "_terms",
-        "_mappable",
         "_pred_ids",
         "_preds",
         "generation",
@@ -56,7 +55,6 @@ class InternTable:
     def __init__(self) -> None:
         self._term_ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
-        self._mappable: List[bool] = []
         self._pred_ids: Dict[str, int] = {}
         self._preds: List[str] = []
         self.generation = 0
@@ -74,7 +72,6 @@ class InternTable:
             if tid is None:
                 tid = len(self._terms)
                 self._terms.append(term)
-                self._mappable.append(isinstance(term, (Variable, Null)))
                 self._term_ids[term] = tid
             return tid
 
@@ -90,10 +87,6 @@ class InternTable:
     def term(self, tid: int) -> Term:
         """The term behind a dense id."""
         return self._terms[tid]
-
-    def is_mappable_id(self, tid: int) -> bool:
-        """True iff the id belongs to a variable or null (hom-mappable)."""
-        return self._mappable[tid]
 
     # -- predicates ------------------------------------------------------
 
@@ -130,7 +123,6 @@ class InternTable:
         with self._lock:
             self._term_ids = {}
             self._terms = []
-            self._mappable = []
             self._pred_ids = {}
             self._preds = []
             self.generation += 1

@@ -1,12 +1,12 @@
 """Cost-based join-order planning for the homomorphism kernel.
 
-The pre-planner kernel ordered body atoms greedily by *syntax*: fewest
-unbound variables first, ties by atom string.  That is cardinality-blind —
-a binary atom over a 100k-fact relation beats a 4-ary atom over a 10-fact
-relation, and the search then scans the big relation unfiltered.  This
-module replaces that ordering with a classic greedy cost-based planner
-driven by the live per-(predicate, position) statistics every view
-maintains (:meth:`pred_count` / :meth:`distinct_count`):
+A join order that only looks at syntax (fewest unbound variables first)
+is cardinality-blind: a binary atom over a 100k-fact relation beats a
+4-ary atom over a 10-fact relation, and the search then scans the big
+relation unfiltered.  This module orders joins with a classic greedy
+cost-based planner driven by the live per-(predicate, position)
+statistics every view maintains (:meth:`pred_count` /
+:meth:`distinct_count`):
 
 * the **estimated candidate count** of an atom under a set of bound slots
   is ``count(pred)`` if no position is bound, else the minimum over bound
@@ -19,7 +19,7 @@ maintains (:meth:`pred_count` / :meth:`distinct_count`):
 Enumeration-order contract
 --------------------------
 Planning changes the order in which homomorphisms are *enumerated* (the
-answer set is order-independent), so the kernel's tie-break is re-pinned
+answer set is order-independent), so the kernel's tie-break is pinned
 here, once: atoms are ordered by ``(estimated candidates, number of
 unbound slots, atom string key)``.  Every component is a deterministic
 function of the body and the target's statistics, so enumeration order is
@@ -32,55 +32,17 @@ fingerprint)`` in a bounded LRU with hit/miss/evict counters
 length, so a plan is only re-derived when a relevant cardinality changes
 by ~2x — repeated batch jobs over a stable target hit the cache every
 time, which is exactly what the CI perf-profile guard asserts.
-
-:func:`use_planner` switches the process default between ``"cost"`` and
-``"greedy"`` (the seed ordering, kept as the benchmark baseline and the
-parity-test reference).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from threading import RLock
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..engine.registry import register_cache
 from .. import obs
 from .metrics import KERNEL_METRICS
-
-#: Plan modes.
-COST = "cost"
-GREEDY = "greedy"
-
-_MODES = (COST, GREEDY)
-
-_default_planner = COST
-
-
-def default_planner() -> str:
-    """The process-wide default plan mode (``"cost"`` unless overridden)."""
-    return _default_planner
-
-
-def set_default_planner(mode: str) -> str:
-    """Set the default plan mode; returns the previous one."""
-    global _default_planner
-    if mode not in _MODES:
-        raise ValueError(f"unknown planner {mode!r}; choose from {_MODES}")
-    previous = _default_planner
-    _default_planner = mode
-    return previous
-
-
-@contextmanager
-def use_planner(mode: str) -> Iterator[None]:
-    """Context manager: run with *mode* as the default plan mode."""
-    previous = set_default_planner(mode)
-    try:
-        yield
-    finally:
-        set_default_planner(previous)
 
 
 class PlanCache:
@@ -175,32 +137,6 @@ def cost_order(search, view, bound_slots: FrozenSet[int]) -> Tuple[int, ...]:
     return tuple(ordered)
 
 
-def greedy_order(search, bound_slots: FrozenSet[int]) -> Tuple[int, ...]:
-    """The seed kernel's ordering: fewest unbound slots, ties by atom string.
-
-    Kept verbatim as the benchmark baseline and the parity-suite
-    reference; it is a pure function of (body, bound set), so it is cached
-    on the compiled search itself.
-    """
-    codes = search.codes
-    strs = search._strs
-    remaining = sorted(range(len(codes)), key=lambda i: strs[i])
-    bound = set(bound_slots)
-    ordered = []
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda i: (
-                len({c for c in codes[i] if c >= 0 and c not in bound}),
-                strs[i],
-            ),
-        )
-        remaining.remove(best)
-        ordered.append(best)
-        bound.update(c for c in codes[best] if c >= 0)
-    return tuple(ordered)
-
-
 def _fingerprint(search, view) -> Tuple:
     """Bit-length-bucketed statistics signature of *view* for this body.
 
@@ -226,30 +162,20 @@ _TRIVIAL_ORDERS = ((), (0,))
 
 
 def order_for(
-    search, view, bound_slots: FrozenSet[int], mode: str
+    search, view, bound_slots: FrozenSet[int]
 ) -> Tuple[Tuple[int, ...], bool]:
     """The join order for one search call: ``(order, cache_hit)``.
 
     Bodies with at most one atom have exactly one order — no statistics,
     no fingerprint, no cache traffic (they count as hits: compile-free).
     This matters: single-atom rule bodies dominate linear-ontology chases,
-    and per-call fingerprinting there is pure overhead.
-
-    ``"greedy"`` plans are pure functions of (body, bound set) and live on
-    the compiled search; ``"cost"`` plans additionally depend on the
-    view's statistics fingerprint and live in the process-wide
+    and per-call fingerprinting there is pure overhead.  Other plans depend
+    on the view's statistics fingerprint and live in the process-wide
     :data:`PLANS` LRU.
     """
     n_atoms = len(search.codes)
     if n_atoms <= 1:
         return _TRIVIAL_ORDERS[n_atoms], True
-    if mode == GREEDY:
-        cached = search._orders.get(bound_slots)
-        if cached is not None:
-            return cached, True
-        order = greedy_order(search, bound_slots)
-        search._orders[bound_slots] = order
-        return order, False
     key = (search.plan_key, tuple(sorted(bound_slots)), _fingerprint(search, view))
     order = PLANS.get(key)
     if order is not None:

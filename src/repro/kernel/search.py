@@ -17,10 +17,9 @@ into one engine.  Compared with the pre-kernel search in
 * **cost-based join orders** — the per-call atom order comes from the
   planner (:mod:`repro.kernel.plan`): estimated candidate counts from the
   target's live cardinality statistics, cached per (body, bound set,
-  stats fingerprint), with the seed's greedy ordering kept behind
-  ``planner="greedy"`` as the baseline.  Enumeration order follows the
-  plan (see the contract pinned in :mod:`repro.kernel.plan`); within an
-  atom, candidates are always visited in the target's deterministic index
+  stats fingerprint).  Enumeration order follows the plan (see the
+  contract pinned in :mod:`repro.kernel.plan`); within an atom,
+  candidates are always visited in the target's deterministic index
   order;
 * **positional candidate selection** — when a source atom has a bound
   position (a constant, or a slot the partial assignment already binds),
@@ -44,8 +43,6 @@ from itertools import count as _counter
 from time import perf_counter
 from typing import (
     Dict,
-    FrozenSet,
-    Iterable,
     Iterator,
     Mapping,
     Optional,
@@ -88,7 +85,6 @@ class HomSearch:
     __slots__ = (
         "source",
         "_strs",
-        "_orders",
         "_gen",
         "pred_ids",
         "codes",
@@ -128,7 +124,6 @@ class HomSearch:
         self.codes: Tuple[Tuple[int, ...], ...] = tuple(codes)
         self.slot_of = slot_of
         self.slot_terms: Tuple[Term, ...] = tuple(slot_of)
-        self._orders: Dict[FrozenSet[int], Tuple[int, ...]] = {}
         self.plan_key = next(_PLAN_KEYS)
         self._gen = INTERN.generation
 
@@ -136,23 +131,6 @@ class HomSearch:
         """Recompile if the intern table was cleared since the last compile."""
         if self._gen != INTERN.generation:
             self._compile()
-
-    # -- join ordering ----------------------------------------------------
-
-    def order(self, bound: Iterable[Term]) -> Tuple[int, ...]:
-        """The seed greedy join order (indexes into ``source``).
-
-        Kept as the stats-free baseline: repeatedly pick the atom with the
-        fewest unbound mappable terms, ties broken by the atom's string
-        form; memoized per bound set since the order is a pure function of
-        it.  The cost-based planner supersedes this on the search path.
-        """
-        self.ensure_compiled()
-        key = frozenset(
-            s for t, s in self.slot_of.items() if t in set(bound)
-        )
-        order, _ = _plan.order_for(self, None, key, _plan.GREEDY)
-        return order
 
     # -- the search -------------------------------------------------------
 
@@ -163,7 +141,6 @@ class HomSearch:
         *,
         limit: Optional[int] = None,
         ranges: Ranges = None,
-        planner: Optional[str] = None,
     ) -> Iterator[Dict[Term, Term]]:
         """Yield every homomorphism of ``source`` into *target*.
 
@@ -174,8 +151,7 @@ class HomSearch:
         "the instance as of mark m").  *ranges*, aligned with ``source``,
         gives each source atom its own ``(lo, hi)`` window — the delta
         chase's semi-naive pivots.  Windows other than the full index
-        require a WorkingInstance target.  *planner* overrides the process
-        default plan mode for this call (``"cost"`` or ``"greedy"``).
+        require a WorkingInstance target.
         """
         view = view_of(target)
         self.ensure_compiled()
@@ -194,8 +170,7 @@ class HomSearch:
                 else:
                     assign[s] = INTERN.term_id(v)
         bound_key = frozenset(s for s in range(n_slots) if assign[s] >= 0)
-        mode = planner or _plan.default_planner()
-        order, plan_hit = _plan.order_for(self, view, bound_key, mode)
+        order, plan_hit = _plan.order_for(self, view, bound_key)
         n = len(order)
         term_of = INTERN.term
         # Per-search instrumentation, flushed once (see finally below).
@@ -312,14 +287,13 @@ class HomSearch:
         *,
         limit: Optional[int] = None,
         ranges: Ranges = None,
-        planner: Optional[str] = None,
     ) -> Optional[Dict[Term, Term]]:
         """The first homomorphism, or None."""
         # Closed here rather than when collected: the search flushes its
         # counters in its ``finally``, and an exception raised there (a
         # SIGALRM cap, say) must reach this caller, not be printed and lost.
         with closing(
-            self.search(target, fixed, limit=limit, ranges=ranges, planner=planner)
+            self.search(target, fixed, limit=limit, ranges=ranges)
         ) as matches:
             return next(matches, None)
 
@@ -330,7 +304,7 @@ def compiled_search(source: Tuple[Atom, ...]) -> HomSearch:
 
     Chase rules, CQ bodies, and tgd heads recur across thousands of
     searches; compiling once per distinct tuple makes the interned codes,
-    the join-order caches, and the precomputed sort keys shared state.
+    the plan-cache key, and the precomputed sort keys shared state.
     """
     return HomSearch(source)
 

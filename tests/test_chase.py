@@ -169,15 +169,6 @@ class TestGoal:
         assert with_goal.instance == plain.instance
         assert with_goal.log == plain.log
 
-    def test_goal_needs_the_delta_strategy(self):
-        with pytest.raises(ValueError):
-            chase(
-                parse_database("P(a)"),
-                parse_tgds("P(x) -> Q(x)"),
-                strategy="naive",
-                goal=(parse_cq("q() :- Q(x)"), ()),
-            )
-
 
 class TestCertainAnswers:
     def test_certain_answers_via_chase(self):

@@ -9,9 +9,9 @@ for every pair, that
   procedure (guarded LHS), exhaustive propositional enumeration (0-ary
   data schema) — agrees with every other on decided verdicts (UNKNOWN
   never contradicts anything);
-* decided verdicts agree with a brute-force oracle: a ``strategy="naive"``
-  chase of random databases followed by homomorphism enumeration by
-  exhaustive substitution (no kernel involvement), so CONTAINED implies
+* decided verdicts agree with the kernel-free oracle of ``tests/oracle.py``
+  (a chase by rounds of random databases, then nested-loop matching; no
+  homomorphism kernel, no join planning), so CONTAINED implies
   ``Q1(D) ⊆ Q2(D)`` on every sampled database;
 * NOT_CONTAINED verdicts ship a witness the oracle can replay:
   ``c̄ ∈ Q1(D)`` and ``c̄ ∉ Q2(D)`` on the reported database;
@@ -32,7 +32,6 @@ A failing case prints its (seed, case index) so it replays exactly.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import random
 import signal
 import time
@@ -40,7 +39,7 @@ from collections import Counter
 
 import pytest
 
-from repro.chase import ChaseBudgetExceeded, chase
+import oracle
 from repro.containment.dispatch import contains
 from repro.containment.guarded import contains_guarded
 from repro.containment.propositional import (
@@ -50,7 +49,6 @@ from repro.containment.propositional import (
 from repro.containment.result import Verdict
 from repro.containment.small_witness import contains_via_small_witness
 from repro.core.omq import UCQ_REWRITABLE_CLASSES
-from repro.core.terms import Constant
 from repro.engine.canon import hash_omq
 from repro.fragments.classify import best_class
 from repro.fragments.guarded import is_guarded, is_linear
@@ -64,12 +62,9 @@ from repro.generators import (
     random_omq_pair,
 )
 
-#: Naive-chase step budget for the oracle; a draw whose chase outgrows it
-#: is skipped (counted), never trusted.
+#: Chase step budget for the oracle; a draw whose chase outgrows it is
+#: skipped (counted), never trusted.
 ORACLE_CHASE_STEPS = 400
-
-#: Enumeration cap: |universe| ** |vars| substitutions per disjunct.
-ORACLE_ENUM_CAP = 100_000
 
 #: Procedure-side budgets — small, so pathological draws degrade to
 #: UNKNOWN instead of stalling the suite (a random guarded set can make
@@ -116,54 +111,6 @@ def case_deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def brute_force_answers(query, instance):
-    """``query(instance)`` by exhaustive substitution, or None if too big.
-
-    Enumerates *every* mapping of a disjunct's variables into the
-    instance's domain and keeps the all-constant head tuples — no
-    homomorphism kernel, no join ordering, nothing shared with the code
-    under test.
-    """
-    universe = sorted(instance.domain(), key=str)
-    answers = set()
-    for disjunct in query.as_ucq().disjuncts:
-        variables = sorted(
-            {v for a in disjunct.body for v in a.variables()},
-            key=lambda v: v.name,
-        )
-        if universe and len(universe) ** len(variables) > ORACLE_ENUM_CAP:
-            return None
-        if not universe and variables:
-            continue
-        for image in itertools.product(universe, repeat=len(variables)):
-            mapping = dict(zip(variables, image))
-            if all(
-                a.substitute(mapping) in instance.atoms
-                for a in disjunct.body
-            ):
-                tup = tuple(mapping.get(t, t) for t in disjunct.head)
-                if all(isinstance(t, Constant) for t in tup):
-                    answers.add(tup)
-    return answers
-
-
-def oracle_answers(omq, database):
-    """Certain answers of *omq* on *database* via the naive chase, or
-    None when the chase or the enumeration outgrows its budget."""
-    try:
-        result = chase(
-            database,
-            omq.sigma,
-            strategy="naive",
-            max_steps=ORACLE_CHASE_STEPS,
-        )
-    except ChaseBudgetExceeded:
-        return None
-    if not result.terminated:
-        return None
-    return brute_force_answers(omq, result.instance)
-
-
 def applicable_procedures(q1):
     """Name → callable for every procedure that may decide this pair."""
     procedures = {
@@ -196,7 +143,7 @@ def applicable_procedures(q1):
 
 
 def _check_oracle(q1, q2, verdicts, results, stats, oracle_seeds, context):
-    """Cross-check decided verdicts against the brute-force oracle."""
+    """Cross-check decided verdicts against the oracle."""
     checked = False
     for sample_seed in oracle_seeds:
         db = random_database(
@@ -205,8 +152,8 @@ def _check_oracle(q1, q2, verdicts, results, stats, oracle_seeds, context):
             n_atoms=4,
             seed=sample_seed,
         )
-        ans1 = oracle_answers(q1, db)
-        ans2 = oracle_answers(q2, db)
+        ans1 = oracle.certain_answers(q1, db, max_steps=ORACLE_CHASE_STEPS)
+        ans2 = oracle.certain_answers(q2, db, max_steps=ORACLE_CHASE_STEPS)
         if ans1 is None or ans2 is None:
             stats["oracle_skipped"] += 1
             continue
@@ -225,8 +172,12 @@ def _check_oracle(q1, q2, verdicts, results, stats, oracle_seeds, context):
         if not witness.database.is_database():
             stats["oracle_skipped"] += 1
             continue
-        wans1 = oracle_answers(q1, witness.database)
-        wans2 = oracle_answers(q2, witness.database)
+        wans1 = oracle.certain_answers(
+            q1, witness.database, max_steps=ORACLE_CHASE_STEPS
+        )
+        wans2 = oracle.certain_answers(
+            q2, witness.database, max_steps=ORACLE_CHASE_STEPS
+        )
         if wans1 is None or wans2 is None:
             stats["oracle_skipped"] += 1
             continue
@@ -244,7 +195,7 @@ def _check_oracle(q1, q2, verdicts, results, stats, oracle_seeds, context):
 
 def test_differential_containment(diff_options):
     """≥ --diff-cases random pairs: procedures agree with each other and
-    with the brute-force oracle; zero disagreements tolerated."""
+    with the oracle; zero disagreements tolerated."""
     seed, cases, time_cap = diff_options
     rng = random.Random(seed)
     deadline = time.monotonic() + time_cap

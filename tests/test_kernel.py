@@ -2,19 +2,20 @@
 
 Covers the three kernel pillars — :class:`WorkingInstance` indexing,
 :class:`HomSearch` correctness, and delta-driven trigger discovery — plus
-the contracts the rest of the codebase now relies on: strict and
-canonical delta/naive chase parity over the generator families, the
-``Instance`` index memos, kernel counter visibility, and the CLI chase
-budget flags.
+the contracts the rest of the codebase now relies on: the delta chase
+equals the kernel-free chase by rounds of ``tests/oracle.py``, strictly
+and canonically, over the generator families; the ``Instance`` index
+memos; kernel counter visibility; and the CLI chase budget flags.
 """
 
-import itertools
+import ast
 import json
 import pickle
 import random
 
 import pytest
 
+import oracle
 import repro
 from repro.chase.engine import chase
 from repro.core.atoms import Atom, atom, fact
@@ -52,28 +53,6 @@ a, b, c = Constant("a"), Constant("b"), Constant("c")
 # ---------------------------------------------------------------------------
 
 
-def brute_force_homomorphisms(source, target, fixed=None):
-    """Every homomorphism, found by trying all total variable mappings."""
-    source = list(source)
-    variables = []
-    for at in source:
-        for t in at.args:
-            if isinstance(t, Variable) and t not in variables:
-                variables.append(t)
-    fixed = dict(fixed or {})
-    free = [v for v in variables if v not in fixed]
-    universe = sorted(
-        {t for at in target.atoms for t in at.args}, key=str
-    )
-    found = []
-    for image in itertools.product(universe, repeat=len(free)):
-        h = dict(fixed)
-        h.update(zip(free, image))
-        if all(at.substitute(h) in target.atoms for at in source):
-            found.append(h)
-    return found
-
-
 def random_target(rng, n_predicates=3, n_terms=4, n_atoms=8):
     terms = [Constant(f"c{i}") for i in range(n_terms)]
     atoms = set()
@@ -109,7 +88,7 @@ class TestBruteForceCrossCheck:
             }
             want = {
                 frozenset(h.items())
-                for h in brute_force_homomorphisms(body, target)
+                for h in oracle.homomorphisms(body, target)
             }
             assert got == want, f"trial {trial}: {body}"
 
@@ -135,7 +114,7 @@ class TestBruteForceCrossCheck:
             }
             want = {
                 frozenset(h.items())
-                for h in brute_force_homomorphisms(body, target, fixed)
+                for h in oracle.homomorphisms(body, target, fixed)
             }
             assert got == want, f"trial {trial}"
 
@@ -145,15 +124,16 @@ class TestBruteForceCrossCheck:
             target = random_target(rng)
             body = random_body(rng, target)
             h = find_homomorphism(body, target)
-            any_brute = bool(brute_force_homomorphisms(body, target))
+            any_brute = bool(oracle.homomorphisms(body, target))
             assert (h is not None) == any_brute
             if h is not None:
                 assert all(at.substitute(h) in target.atoms for at in body)
 
 
 # ---------------------------------------------------------------------------
-# Delta vs naive chase parity
+# The delta chase against the oracle's chase by rounds
 # ---------------------------------------------------------------------------
+
 
 FAMILIES = [
     ("linear_chain", linear_chain(4)),
@@ -172,26 +152,48 @@ class TestChaseParity:
     def test_delta_matches_naive_exactly(self, name, omq, policy):
         db = random_database(omq.data_schema, n_constants=4, n_atoms=10, seed=11)
         kwargs = dict(policy=policy, max_depth=2, max_steps=50_000)
-        delta = chase(db, omq.sigma, strategy="delta", **kwargs)
-        naive = chase(db, omq.sigma, strategy="naive", **kwargs)
-        assert delta.instance == naive.instance
-        assert delta.steps == naive.steps
-        assert delta.log == naive.log
-        assert delta.levels == naive.levels
-        assert delta.terminated == naive.terminated
+        assert oracle.run_of(chase(db, omq.sigma, **kwargs)) == oracle.run_of(
+            oracle.chase(db, omq.sigma, **kwargs)
+        )
 
     def test_delta_matches_naive_canonically(self, name, omq, policy):
         db = random_database(omq.data_schema, n_constants=3, n_atoms=8, seed=5)
         kwargs = dict(policy=policy, max_depth=2, max_steps=50_000)
         delta = chase(
-            db, omq.sigma, strategy="delta",
-            null_factory=NullFactory(1000), **kwargs,
+            db, omq.sigma, null_factory=NullFactory(1000), **kwargs,
         )
-        naive = chase(db, omq.sigma, strategy="naive", **kwargs)
+        naive = oracle.chase(db, omq.sigma, **kwargs)
         assert delta.instance != naive.instance or not delta.instance.nulls()
         assert (
             hash_instance(delta.instance) == hash_instance(naive.instance)
         )
+
+
+class TestOracle:
+    """``tests/oracle.py`` shares no code with the kernel it checks."""
+
+    def test_imports_no_kernel_search_or_evaluation(self):
+        tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+        for module in modules:
+            assert not module.startswith(
+                ("repro.kernel", "repro.core.homomorphism", "repro.evaluation")
+            ), module
+
+    def test_a_run_makes_no_kernel_search(self):
+        omq = linear_chain(3)
+        db = random_database(omq.data_schema, n_constants=3, n_atoms=6, seed=1)
+        repro.clear_caches()
+        result = oracle.chase(db, omq.sigma, max_depth=2)
+        assert result.steps > 0
+        assert oracle.homomorphisms(omq.query.body, result.instance)
+        assert oracle.certain_answers(omq, db, max_depth=2)
+        assert kernel_snapshot().get("kernel.hom.searches", 0) == 0
 
 
 class TestCanonicalInstance:
@@ -491,14 +493,14 @@ class TestBudgets:
 
 
 class TestChaseFuzzParity:
-    """Randomized delta/naive parity over the random fragment generators.
+    """Randomized parity of the delta chase with the oracle's chase.
 
     ``TestChaseParity`` pins the curated families; here the tgd sets are
     drawn from :func:`repro.generators.random_omq` across every fragment,
     and the step budget is swept through its edge values — including
-    budgets that bind, where both strategies must degrade identically
-    (same partial instance, same honest non-termination report, and the
-    same UNKNOWN at the evaluation layer).
+    budgets that bind, where both chases must degrade identically (same
+    partial run, same honest non-termination report, and the same UNKNOWN
+    at the evaluation layer).
     """
 
     @pytest.mark.parametrize("seed", range(15))
@@ -511,44 +513,38 @@ class TestChaseFuzzParity:
             omq.data_schema, n_constants=3, n_atoms=5, seed=seed
         )
         kwargs = dict(max_steps=300, partial=True)
-        delta = chase(db, omq.sigma, strategy="delta", **kwargs)
-        naive = chase(db, omq.sigma, strategy="naive", **kwargs)
-        assert delta.instance == naive.instance
-        assert delta.steps == naive.steps
-        assert delta.terminated == naive.terminated
+        assert oracle.run_of(chase(db, omq.sigma, **kwargs)) == oracle.run_of(
+            oracle.chase(db, omq.sigma, **kwargs)
+        )
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 3, 7, 50])
     def test_budget_edges_agree(self, budget):
         """On a diverging rule set every budget binds: partial runs match
-        atom-for-atom and strict runs raise with matching partials."""
+        step for step and strict runs raise with matching partials."""
+        from repro.chase.engine import ChaseBudgetExceeded
         from repro.core.parser import parse_database, parse_tgds
 
         sigma = parse_tgds("P(x) -> R(x, w)\nR(x, y) -> R(y, z)")
         db = parse_database("P(a).")
-        partials = {}
-        for strategy in ("delta", "naive"):
-            result = chase(
-                db, sigma, strategy=strategy, max_steps=budget, partial=True
-            )
+        partials = []
+        for run in (chase, oracle.chase):
+            result = run(db, sigma, max_steps=budget, partial=True)
             assert not result.terminated
             assert result.steps <= budget
-            partials[strategy] = result
-        assert partials["delta"].instance == partials["naive"].instance
-        assert partials["delta"].steps == partials["naive"].steps
-        from repro.chase.engine import ChaseBudgetExceeded
-
-        for strategy in ("delta", "naive"):
+            partials.append(result)
+        assert oracle.run_of(partials[0]) == oracle.run_of(partials[1])
+        raised = []
+        for run in (chase, oracle.chase):
             with pytest.raises(ChaseBudgetExceeded) as exc:
-                chase(db, sigma, strategy=strategy, max_steps=budget)
-            assert (
-                exc.value.partial.instance
-                == partials[strategy].instance
-            )
+                run(db, sigma, max_steps=budget)
+            raised.append(exc.value.partial)
+        assert oracle.run_of(raised[0]) == oracle.run_of(raised[1])
+        assert oracle.run_of(raised[0]) == oracle.run_of(partials[0])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_budget_exceeded_is_strategy_independent(self, seed):
-        """Whether a random set exhausts a tiny budget never depends on
-        the strategy, and the partial frontiers coincide."""
+        """Whether a random set exhausts a tiny budget is the same for the
+        delta chase and the oracle's, and so is the partial run."""
         from repro.chase.engine import ChaseBudgetExceeded
         from repro.generators import FRAGMENTS, random_omq
 
@@ -558,24 +554,21 @@ class TestChaseFuzzParity:
             omq.data_schema, n_constants=2, n_atoms=4, seed=seed
         )
         for budget in (0, 1, 3):
-            outcomes = {}
-            for strategy in ("delta", "naive"):
+            outcomes = []
+            for run in (chase, oracle.chase):
                 try:
-                    result = chase(
-                        db, omq.sigma, strategy=strategy, max_steps=budget
+                    outcomes.append(
+                        ("done", run(db, omq.sigma, max_steps=budget))
                     )
-                    outcomes[strategy] = ("done", result.instance)
                 except ChaseBudgetExceeded as exc:
-                    outcomes[strategy] = (
-                        "exceeded", exc.partial.instance
-                    )
-            assert outcomes["delta"] == outcomes["naive"]
+                    outcomes.append(("exceeded", exc.partial))
+            (delta_how, delta), (oracle_how, reference) = outcomes
+            assert delta_how == oracle_how
+            assert oracle.run_of(delta) == oracle.run_of(reference)
 
     def test_unknown_degradation_matches_across_strategies(self, monkeypatch):
         """The evaluation layer reports the same inexact 'chase-partial'
-        answer set whichever chase strategy runs underneath."""
-        import functools
-
+        answer set with the oracle's chase underneath."""
         import repro.evaluation as evaluation
         from repro.core.parser import parse_database, parse_omq
 
@@ -585,15 +578,11 @@ class TestChaseFuzzParity:
             omq, db, method="chase", chase_max_steps=3
         )
         repro.clear_caches()
-        monkeypatch.setattr(
-            evaluation,
-            "chase",
-            functools.partial(chase, strategy="naive"),
-        )
-        naive_result = evaluate_omq(
+        monkeypatch.setattr(evaluation, "chase", oracle.chase)
+        oracle_result = evaluate_omq(
             omq, db, method="chase", chase_max_steps=3
         )
-        for result in (delta_result, naive_result):
+        for result in (delta_result, oracle_result):
             assert not result.exact
             assert result.method == "chase-partial"
-        assert delta_result.answers == naive_result.answers
+        assert delta_result.answers == oracle_result.answers

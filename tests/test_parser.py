@@ -90,6 +90,9 @@ class TestTGDParsing:
         sigma = parse_tgds("P(x) -> Q(x). Q(x) -> S(x).")
         assert len(sigma) == 2
 
+    def test_comment_after_a_final_period(self):
+        assert parse_tgds("P(x) -> Q(x). % note") == [parse_tgd("P(x) -> Q(x)", "r0")]
+
 
 class TestCQParsing:
     def test_with_head(self):
@@ -120,6 +123,9 @@ class TestUCQParsing:
         q = parse_ucq("q(x) :- P(x)\nq(x) :- T(x)")
         assert len(q) == 2
 
+    def test_comment_after_a_final_period(self):
+        assert parse_ucq("q(x) :- P(x). % c") == parse_ucq("q(x) :- P(x)")
+
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_ucq("   ")
@@ -143,6 +149,9 @@ class TestDatabaseParsing:
     def test_zero_ary_fact(self):
         db = parse_database("Goal()")
         assert atom("Goal") in db
+
+    def test_comment_after_a_final_period(self):
+        assert set(parse_database("P(a). # note")) == {fact("P", "a")}
 
 
 class TestQuotedSeparators:
@@ -173,8 +182,9 @@ class TestQuotedSeparators:
         assert parse_omq(omq_to_document(omq)) == omq
 
 
-#: One input per error path, and the message it raised before statements
-#: and disjuncts were split on tokens.
+#: One input per error path, and the message it raises: the message it
+#: raised before statements and disjuncts were split on tokens, and for a
+#: non-numeric schema arity the one a missing arity gives.
 ERRORS = [
     (parse_atom, "R(x$)", "unexpected character '$' at offset 3"),
     (parse_atom, " R(x$)", "unexpected character '$' at offset 4"),
@@ -203,6 +213,7 @@ ERRORS = [
     (parse_omq, "schema: P/1\nrules:\n P(x) -> Q(x)\n", "missing 'query:' section"),
     (parse_omq, "P(x)\nschema: P/1\nquery: q(x) :- P(x)\n", "line outside any section: 'P(x)'"),
     (parse_omq, "schema: P\nquery: q(x) :- P(x)\n", "schema entries look like Name/arity: 'P'"),
+    (parse_omq, "schema: P/x\nquery: q(x) :- P(x)\n", "schema entries look like Name/arity: 'P/x'"),
 ]
 
 
