@@ -21,7 +21,6 @@ algorithm — exact for arbitrary priorities, not just the Ω ≡ 1 case.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -30,7 +29,6 @@ from typing import (
     Hashable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -177,9 +175,6 @@ class TWAPA:
 
     def priority_of(self, state: State) -> int:
         return self.priority.get(state, 1)
-
-    def state_count(self) -> int:
-        return len(self.states)
 
     # -- Boolean operations (closure properties used by Prop. 25) ---------
 

@@ -29,32 +29,44 @@ Commands:
 * ``serve``                      — containment-as-a-service HTTP server
 * ``submit OMQ1 OMQ2``           — send a containment job to a server
 
-``contains`` and ``rewrite`` accept ``--json`` (the machine-readable
-output contract shared with ``batch``) and ``--cache-dir``/``--workers``
-to route through the :class:`repro.engine.BatchEngine`.
-``--cache-dir DIR`` keeps the result cache in ``DIR/repro-cache.sqlite``
-(without it, results live in memory only), and
-``--catalog PATH`` attaches the persistent equivalence catalog: OMQ
-pairs proven equivalent in *any* earlier session answer instantly, even
-after the result cache has been evicted or deleted.
-``--witness-store PATH`` attaches the catalog's negative dual: every
-NOT_CONTAINED verdict persists its counterexample database, and future
-sessions replay stored witnesses as single hom-checks ahead of the full
-decision procedures (inspect with ``repro witnesses PATH``).
+Flags that several commands share are declared once each, as argparse
+parent parsers:
+
+* engine flags (``contains``, ``rewrite``, ``batch``, ``serve``):
+  ``--cache-dir DIR`` keeps the result cache in
+  ``DIR/repro-cache.sqlite`` (without it, results live in memory only);
+  ``--workers N`` sets the pool width; ``--catalog PATH`` attaches the
+  persistent equivalence catalog, so OMQ pairs proven equivalent in
+  *any* earlier session answer instantly; ``--witness-store PATH``
+  attaches its negative dual, which persists every NOT_CONTAINED
+  counterexample and replays stored witnesses as cheap hom-checks ahead
+  of the full decision procedures (inspect with ``repro witnesses``).
+* chase budgets (``contains``, ``batch``): ``--max-steps`` and
+  ``--max-depth``.  Exhausting one never errors: evaluation falls back
+  to the truncated chase (sound, possibly incomplete), so containment
+  degrades to an UNKNOWN verdict carrying the reason.
+* ``--trace FILE`` (``contains``, ``rewrite``, ``batch``) writes the span
+  trees of every decision (see :mod:`repro.obs`) to FILE on exit: JSONL
+  trees for a ``.jsonl`` name, else Chrome ``trace_event`` JSON for
+  ``chrome://tracing`` or Perfetto.  ``repro trace FILE`` renders either.
+* ``--json`` (``contains``, ``rewrite``, ``batch``, ``catalog``,
+  ``witnesses``, ``submit``, ``profile``) selects the machine-readable
+  output contract.
+* ``--timeout S`` (``batch``, ``serve``) caps each task's seconds,
+  enforced with ``--workers`` above 1.
+
+``--budget`` stays per command: XRewrite's query budget on ``rewrite``
+(which also caps its atoms at 20 × budget), the rewriting budget on
+``contains``, chase steps on ``explain``.  ``contains`` and ``rewrite``
+build one job and run it through a :class:`repro.engine.BatchEngine`
+when an engine flag asks for one, else in this process; the answer is
+the same either way, and only ``--json``'s ``cached`` field differs.
 
 ``batch`` also accepts ``--stream``: results are printed the moment each
 job finishes (completion order) rather than when the whole batch drains.
 Duplicate α-equivalent jobs in a manifest are scheduled once — the
 ``engine.dedup.coalesced`` counter in ``--json`` ``stats.metrics`` counts
 the absorbed copies.
-
-``contains``, ``rewrite`` and ``batch`` accept ``--trace FILE``: every
-decision is traced (phase spans, counter rollups — see :mod:`repro.obs`)
-and the collected trees are written to FILE on exit.  A ``.jsonl``
-extension selects the lossless JSONL tree format; anything else writes
-Chrome ``trace_event`` JSON that opens directly in ``chrome://tracing``
-or Perfetto.  ``repro trace FILE`` renders either format as an indented
-phase tree with self/cumulative times.
 
 ``profile`` closes the loop on those trace files: ``repro profile
 TRACE...`` aggregates any mix of trace files into one versioned profile
@@ -66,14 +78,6 @@ may each be a profile JSON *or* a raw trace file (profiled on the fly).
 ``--fail-on-regression PCT`` exits 1 when any phase regresses at least
 PCT per cent beyond the significance threshold's verdict — the CI gate
 against ``BENCH_profile_baseline.json``.
-
-``contains``, ``rewrite`` and ``batch`` accept ``--max-steps`` and
-``--max-depth`` chase budgets.  Exhausting a budget never diverges or
-errors: evaluation falls back to the truncated chase (sound, possibly
-incomplete), so containment degrades to an UNKNOWN verdict carrying the
-reason — the same convention the engine uses for pool failures.  XRewrite
-itself never runs the chase, so on ``rewrite`` the flags are accepted for
-interface uniformity (shared scripts/manifests) and have no effect.
 
 A batch file is one job per line (``%``/``#`` comments, blank lines ok),
 with paths resolved relative to the batch file::
@@ -93,7 +97,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .applications import distributes_over_components, is_ucq_rewritable
-from .containment import ContainmentResult, Verdict, contains
+from .containment import ContainmentResult, Verdict
 from .core.parser import parse_database, parse_omq, parse_tgds
 from .core.serialize import containment_result_to_json, omq_to_document
 from .core.terms import Constant
@@ -101,7 +105,7 @@ from .evaluation import evaluate_omq
 from .explain import explain_answer, format_explanation
 from .fragments import best_class, classify
 from .optimize import minimize_query
-from .rewriting import RewritingBudgetExceeded, RewritingResult, xrewrite
+from .rewriting import RewritingResult
 from . import obs
 
 
@@ -139,30 +143,45 @@ def _rewriting_to_json(
     return out
 
 
-def _make_engine(args):
-    """A BatchEngine honoring --cache-dir/--catalog/--witness-store/
-    --workers/--timeout/--trace."""
+def _make_engine(args, task_timeout: Optional[float] = None):
+    """A BatchEngine honoring the engine flags and ``--trace``."""
     from .engine import BatchEngine
 
     return BatchEngine(
-        cache_dir=getattr(args, "cache_dir", None),
-        workers=getattr(args, "workers", 1) or 1,
-        task_timeout=getattr(args, "timeout", None),
-        trace="always" if getattr(args, "trace", None) else None,
-        catalog=getattr(args, "catalog", None),
-        witness_store=getattr(args, "witness_store", None),
-        witness_replay=getattr(args, "witness_replay", None),
+        cache_dir=args.cache_dir,
+        workers=args.workers or 1,
+        task_timeout=task_timeout,
+        trace="always" if args.trace else None,
+        catalog=args.catalog,
+        witness_store=args.witness_store,
     )
 
 
-def _wants_engine(args) -> bool:
-    """Whether the flags ask for the BatchEngine rather than a direct call."""
-    return (
-        getattr(args, "cache_dir", None) is not None
-        or (getattr(args, "workers", 1) or 1) > 1
-        or getattr(args, "catalog", None) is not None
-        or getattr(args, "witness_store", None) is not None
-    )
+def _run_job(args, job):
+    """Run one ``contains``/``rewrite`` job and write ``--trace``.
+
+    Through a BatchEngine when an engine flag asks for one, else
+    ``job.run()`` in this process: the job is the same either way, so
+    both paths do the same work.  Returns ``(value, cached, error)``;
+    ``cached`` is ``None`` on the direct path.
+    """
+    if (
+        args.cache_dir is not None
+        or args.workers > 1
+        or args.catalog is not None
+        or args.witness_store is not None
+    ):
+        with _make_engine(args) as engine:
+            outcome = engine.run_batch([job])[0]
+            roots = engine.traces()
+        value, cached, error = outcome.value, outcome.cached, outcome.error
+    else:
+        with obs.tracing("always" if args.trace else "off"):
+            value, cached, error = job.run(), None, None
+            roots = obs.drain() if args.trace else []
+    if args.trace:
+        _write_trace_file(roots, args.trace)
+    return value, cached, error
 
 
 def _write_trace_file(roots: List[dict], path: str) -> None:
@@ -187,29 +206,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
-    omq = parse_omq(_read(args.omq))
-    cached: Optional[bool] = None
-    trace_path = getattr(args, "trace", None)
-    if _wants_engine(args):
-        from .engine import RewriteJob
+    from .engine import RewriteJob
 
-        with _make_engine(args) as engine:
-            job_result = engine.run_batch([RewriteJob(omq, args.budget)])[0]
-            traces = engine.traces()
-        result, cached = job_result.value, job_result.cached
-        if trace_path:
-            _write_trace_file(traces, trace_path)
-        if result is None:
-            print(f"rewriting failed: {job_result.error}", file=sys.stderr)
-            return 2
-    else:
-        with obs.tracing("always" if trace_path else "off"):
-            try:
-                result = xrewrite(omq, max_queries=args.budget)
-            except RewritingBudgetExceeded as exc:
-                result = exc.partial
-            if trace_path:
-                _write_trace_file(obs.drain(), trace_path)
+    omq = parse_omq(_read(args.omq))
+    result, cached, error = _run_job(args, RewriteJob(omq, args.budget))
+    if result is None:
+        print(f"rewriting failed: {error}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(_rewriting_to_json(result, cached), indent=2))
         return 0 if result.complete else 2
@@ -247,40 +250,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_contains(args) -> int:
-    q1 = parse_omq(_read(args.omq1), name="Q1")
-    q2 = parse_omq(_read(args.omq2), name="Q2")
-    cached: Optional[bool] = None
-    trace_path = getattr(args, "trace", None)
-    if _wants_engine(args):
-        from .engine import ContainmentJob
+    from .engine import ContainmentJob
 
-        with _make_engine(args) as engine:
-            job_result = engine.run_batch(
-                [
-                    ContainmentJob(
-                        q1,
-                        q2,
-                        rewriting_budget=args.budget,
-                        chase_max_steps=args.max_steps,
-                        chase_max_depth=args.max_depth,
-                    )
-                ]
-            )[0]
-            traces = engine.traces()
-        result, cached = job_result.value, job_result.cached
-        if trace_path:
-            _write_trace_file(traces, trace_path)
-    else:
-        with obs.tracing("always" if trace_path else "off"):
-            result = contains(
-                q1,
-                q2,
-                rewriting_budget=args.budget,
-                chase_max_steps=args.max_steps,
-                chase_max_depth=args.max_depth,
-            )
-            if trace_path:
-                _write_trace_file(obs.drain(), trace_path)
+    job = ContainmentJob(
+        parse_omq(_read(args.omq1), name="Q1"),
+        parse_omq(_read(args.omq2), name="Q2"),
+        rewriting_budget=args.budget,
+        chase_max_steps=args.max_steps,
+        chase_max_depth=args.max_depth,
+    )
+    result, cached, _ = _run_job(args, job)
     if args.json:
         print(json.dumps(_containment_to_json(result, cached), indent=2))
     else:
@@ -399,9 +378,8 @@ def _cmd_batch(args) -> int:
     if not jobs:
         print("batch file contains no jobs", file=sys.stderr)
         return 2
-    stream = getattr(args, "stream", False)
-    with _make_engine(args) as engine:
-        if stream:
+    with _make_engine(args, task_timeout=args.timeout) as engine:
+        if args.stream:
             # Progress lines go out as workers finish, not when the whole
             # batch drains; with --json they go to stderr so stdout stays
             # a single machine-readable document.
@@ -416,7 +394,7 @@ def _cmd_batch(args) -> int:
         else:
             results = engine.run_batch(jobs)
         stats = engine.stats()
-        if getattr(args, "trace", None):
+        if args.trace:
             _write_trace_file(engine.traces(), args.trace)
     degraded = 0
     for r in results:
@@ -440,7 +418,7 @@ def _cmd_batch(args) -> int:
             )
         )
     else:
-        if not stream:  # streamed lines were already printed on arrival
+        if not args.stream:  # streamed lines were already printed on arrival
             for i, (r, label) in enumerate(zip(results, labels)):
                 print(_batch_entry_text(r, label, i))
         cache = stats["cache"]
@@ -716,7 +694,6 @@ def _cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         catalog=args.catalog,
         witness_store=args.witness_store,
-        witness_replay=args.witness_replay,
         tenants_file=args.tenants,
         deadline_floor_s=args.deadline_floor,
         drain_grace_s=args.drain_grace,
@@ -780,49 +757,51 @@ def _cmd_submit(args) -> int:
     return 0 if not record.get("error") else 1
 
 
-def _add_trace_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="trace every decision and write the span trees to FILE "
-        "(.jsonl = JSONL trees; otherwise Chrome trace_event JSON for "
-        "chrome://tracing / Perfetto)",
+def _flag_parents() -> Dict[str, argparse.ArgumentParser]:
+    """The shared flags, one parent parser per group (see module doc)."""
+    parents = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in ("engine", "chase", "trace", "json", "timeout")
+    }
+    engine = parents["engine"]
+    engine.add_argument(
+        "--cache-dir", default=None, help="persistent result cache"
     )
-
-
-def _add_engine_backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+    engine.add_argument("--workers", type=int, default=1)
+    engine.add_argument(
         "--catalog", metavar="PATH", default=None,
         help="persistent OMQ equivalence catalog; proven-equivalent "
         "queries share cache rows and short-circuit across sessions "
         "(inspect with: repro catalog PATH)",
     )
-    p.add_argument(
+    engine.add_argument(
         "--witness-store", metavar="PATH", default=None,
-        dest="witness_store",
         help="persistent NOT_CONTAINED witness store; stored "
         "counterexamples are replayed as cheap hom-checks ahead of the "
         "full decision procedures (inspect with: repro witnesses PATH)",
     )
-    p.add_argument(
-        "--witness-replay", default="structural", dest="witness_replay",
-        choices=("exact", "structural", "off"),
-        help="witness replay: exact = the exact pair and same-LHS/"
-        "same-RHS witnesses only, structural (default) = also replay "
-        "signature-compatible witnesses via two fresh hom-checks, "
-        "off = record but never replay",
+    parents["chase"].add_argument(
+        "--max-steps", type=int, default=200_000,
+        help="chase step budget; exhaustion degrades to UNKNOWN/partial",
     )
-
-
-def _add_chase_budget_flags(p: argparse.ArgumentParser, note: str = "") -> None:
-    p.add_argument(
-        "--max-steps", type=int, default=200_000, dest="max_steps",
-        help="chase step budget; exhaustion degrades to UNKNOWN/partial"
-        + note,
+    parents["chase"].add_argument(
+        "--max-depth", type=int, default=None,
+        help="chase depth cut-off (bounded guarded strategy)",
     )
-    p.add_argument(
-        "--max-depth", type=int, default=None, dest="max_depth",
-        help="chase depth cut-off (bounded guarded strategy)" + note,
+    parents["trace"].add_argument(
+        "--trace", metavar="FILE", default=None,
+        help="trace every decision and write the span trees to FILE "
+        "(.jsonl = JSONL trees; otherwise Chrome trace_event JSON for "
+        "chrome://tracing / Perfetto)",
     )
+    parents["json"].add_argument(
+        "--json", action="store_true", help="machine-readable output"
+    )
+    parents["timeout"].add_argument(
+        "--timeout", type=float, default=None,
+        help="per-task seconds (workers > 1 only)",
+    )
+    return parents
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -831,91 +810,79 @@ def build_parser() -> argparse.ArgumentParser:
         description="Containment for rule-based ontology-mediated queries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = _flag_parents()
 
-    p = sub.add_parser("classify", help="fragment membership of a tgd file")
+    def add(name: str, groups=(), **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(
+            name, parents=[flags[g] for g in groups], **kwargs
+        )
+
+    p = add("classify", help="fragment membership of a tgd file")
     p.add_argument("ontology")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("rewrite", help="UCQ-rewrite an OMQ file")
+    p = add(
+        "rewrite", ("engine", "trace", "json"), help="UCQ-rewrite an OMQ file"
+    )
     p.add_argument("omq")
     p.add_argument("--budget", type=int, default=20_000)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--cache-dir", default=None, help="persistent result cache")
-    p.add_argument("--workers", type=int, default=1)
-    _add_engine_backend_flags(p)
-    _add_chase_budget_flags(
-        p, " (accepted for interface parity; XRewrite never chases)"
-    )
-    _add_trace_flag(p)
     p.set_defaults(func=_cmd_rewrite)
 
-    p = sub.add_parser("evaluate", help="certain answers over a database")
+    p = add("evaluate", help="certain answers over a database")
     p.add_argument("omq")
     p.add_argument("database")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("contains", help="decide Q1 ⊆ Q2")
+    p = add(
+        "contains", ("engine", "chase", "trace", "json"),
+        help="decide Q1 ⊆ Q2",
+    )
     p.add_argument("omq1")
     p.add_argument("omq2")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--cache-dir", default=None, help="persistent result cache")
-    p.add_argument("--workers", type=int, default=1)
-    _add_engine_backend_flags(p)
-    _add_chase_budget_flags(p)
-    _add_trace_flag(p)
     p.set_defaults(func=_cmd_contains)
 
-    p = sub.add_parser(
-        "batch", help="run a manifest of jobs through the batch engine"
+    p = add(
+        "batch", ("engine", "chase", "trace", "json", "timeout"),
+        help="run a manifest of jobs through the batch engine",
     )
     p.add_argument("batch_file", help="one job per line; see module docs")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", default=None, help="persistent result cache")
-    p.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-task seconds (workers > 1 only)",
-    )
-    _add_engine_backend_flags(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--stream", action="store_true",
         help="print each result as it completes instead of waiting for "
         "the whole batch (with --json, progress lines go to stderr)",
     )
-    _add_chase_budget_flags(p)
-    _add_trace_flag(p)
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("distributes", help="distribution over components")
+    p = add("distributes", help="distribution over components")
     p.add_argument("omq")
     p.set_defaults(func=_cmd_distributes)
 
-    p = sub.add_parser("rewritable", help="UCQ rewritability of an OMQ")
+    p = add("rewritable", help="UCQ rewritability of an OMQ")
     p.add_argument("omq")
     p.add_argument("--show", action="store_true", help="print the rewriting")
     p.set_defaults(func=_cmd_rewritable)
 
-    p = sub.add_parser("minimize", help="containment-powered minimization")
+    p = add("minimize", help="containment-powered minimization")
     p.add_argument("omq")
     p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("explain", help="derivation forest for an answer")
+    p = add("explain", help="derivation forest for an answer")
     p.add_argument("omq")
     p.add_argument("database")
     p.add_argument("answer", nargs="*", help="answer constants, in order")
     p.add_argument("--budget", type=int, default=10_000)
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser(
-        "catalog", help="inspect a cross-session OMQ equivalence catalog"
+    p = add(
+        "catalog", ("json",),
+        help="inspect a cross-session OMQ equivalence catalog",
     )
     p.add_argument("catalog_file", help="a --catalog sqlite file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser(
-        "witnesses",
+    p = add(
+        "witnesses", ("json",),
         help="inspect a cross-session NOT_CONTAINED witness store",
     )
     p.add_argument("witness_file", help="a --witness-store sqlite file")
@@ -923,11 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, metavar="N",
         help="list at most N rows (the stats still cover the whole store)",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_witnesses)
 
-    p = sub.add_parser(
-        "serve",
+    p = add(
+        "serve", ("engine", "timeout"),
         help="run the containment-as-a-service HTTP server",
     )
     p.add_argument("--host", default="127.0.0.1")
@@ -935,13 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8718,
         help="listen port (0 picks a free port)",
     )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-task seconds (workers > 1 only)",
-    )
-    p.add_argument("--cache-dir", default=None, help="persistent result cache")
-    _add_engine_backend_flags(p)
     p.add_argument(
         "--tenants", metavar="FILE", default=None,
         help="JSON tenant policies: {name: {weight, priority, "
@@ -976,8 +935,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser(
-        "submit", help="submit a containment job to a running server"
+    p = add(
+        "submit", ("json",),
+        help="submit a containment job to a running server",
     )
     p.add_argument("omq1")
     p.add_argument("omq2")
@@ -994,20 +954,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority", choices=("high", "normal", "low"), default=None
     )
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--no-wait", action="store_true", dest="no_wait",
-        help="return the job id immediately instead of polling",
+        help="return the job id immediately instead of waiting on the "
+        "job's event stream for its result",
     )
     p.add_argument(
         "--wait-timeout", type=float, default=120.0, dest="wait_timeout",
-        help="seconds to poll before giving up",
+        help="seconds to wait for the result before giving up",
     )
     p.set_defaults(func=_cmd_submit)
 
-    p = sub.add_parser(
-        "trace", help="pretty-print a saved decision trace file"
-    )
+    p = add("trace", help="pretty-print a saved decision trace file")
     p.add_argument("trace_file", help="a --trace output (.jsonl or Chrome)")
     p.add_argument(
         "--no-attrs", action="store_true", help="hide span attributes"
@@ -1017,8 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser(
-        "profile",
+    p = add(
+        "profile", ("json",),
         help="aggregate span traces into a per-phase profile, or diff "
         "two profiles with noise-gated verdicts",
     )
@@ -1027,7 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace files (.jsonl or Chrome JSON) to aggregate — or "
         "'diff OLD NEW' where OLD/NEW are profile JSON or trace files",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--out", metavar="FILE", default=None,
         help="also write the profile document to FILE (JSON)",

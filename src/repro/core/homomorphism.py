@@ -16,7 +16,7 @@ pre-kernel implementation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence
 
 from ..kernel.search import (
     find_homomorphism as _kernel_find,
@@ -72,10 +72,3 @@ def is_hom_equivalent(left: Instance, right: Instance) -> bool:
         instance_homomorphism(left, right) is not None
         and instance_homomorphism(right, left) is not None
     )
-
-
-def apply_assignment(
-    atoms: Iterable[Atom], assignment: Mapping[Term, Term]
-) -> Tuple[Atom, ...]:
-    """Apply an assignment to a collection of atoms."""
-    return tuple(a.substitute(assignment) for a in atoms)

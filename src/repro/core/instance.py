@@ -112,25 +112,6 @@ class Instance:
             object.__setattr__(self, "_by_predicate_memo", cached)
         return cached
 
-    def by_position(self) -> Mapping[Tuple[str, int, Term], Tuple[Atom, ...]]:
-        """Atoms keyed by (predicate, position, term), memoized.
-
-        The positional index behind the kernel's candidate selection: the
-        atoms whose argument at *position* is *term*.  Each value preserves
-        the deterministic :meth:`by_predicate` order, so index-filtered
-        searches enumerate in the same relative order as full scans.
-        """
-        cached = self.__dict__.get("_by_position_memo")
-        if cached is None:
-            index: Dict[Tuple[str, int, Term], List[Atom]] = defaultdict(list)
-            for atoms in self.by_predicate().values():
-                for a in atoms:
-                    for pos, t in enumerate(a.args):
-                        index[(a.predicate, pos, t)].append(a)
-            cached = {k: tuple(v) for k, v in index.items()}
-            object.__setattr__(self, "_by_position_memo", cached)
-        return cached
-
     # -- algebra ---------------------------------------------------------
 
     def union(self, other: "Instance") -> "Instance":

@@ -29,24 +29,18 @@ job, so the matrix parallelizes and warm re-runs are nearly free).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..core.omq import OMQ
 from ..core.tgd import TGD
 from ..obs import TraceConfig
 from .cache import ResultCache
 from .catalog import OMQCatalog
-from .jobs import (
-    ClassificationOutcome,
-    ClassifyJob,
-    ContainmentJob,
-    JobResult,
-    RewriteJob,
-)
+from .jobs import ClassifyJob, ContainmentJob, JobResult, RewriteJob
 from .metrics import MetricsRegistry
 from .pool import WorkerPool
 from .scheduler import DeadlinePolicy, JobHandle, Priority, Scheduler
-from .witness_store import REPLAY_MODES, WitnessStore
+from .witness_store import WitnessStore
 
 
 class BatchEngine:
@@ -80,12 +74,6 @@ class BatchEngine:
         after the cache — instead of running the full decision
         procedure, and every NOT_CONTAINED verdict deposits its
         signature-keyed witness for future sessions.
-    witness_replay:
-        Replay-mode override for the store — ``"exact"`` (the exact pair
-        and same-LHS/same-RHS candidates only), ``"structural"`` (adds
-        signature-keyed candidates; the default for path-built stores),
-        or ``"off"``.
-        ``None`` leaves a ready store instance's own mode untouched.
     max_inflight / aging_interval:
         Scheduler tuning: dispatch-window width (default: worker count)
         and seconds-per-class priority aging (see
@@ -120,7 +108,6 @@ class BatchEngine:
         cache: Optional[ResultCache] = None,
         catalog: Union[None, str, OMQCatalog] = None,
         witness_store: Union[None, str, WitnessStore] = None,
-        witness_replay: Optional[str] = None,
         max_inflight: Optional[int] = None,
         aging_interval: Optional[float] = 5.0,
         deadline_policy: Optional[DeadlinePolicy] = None,
@@ -133,26 +120,16 @@ class BatchEngine:
         if isinstance(catalog, (str, bytes)) or hasattr(catalog, "__fspath__"):
             catalog = OMQCatalog(str(catalog))
         self.catalog: Optional[OMQCatalog] = catalog
-        if witness_replay is not None and witness_replay not in REPLAY_MODES:
-            raise ValueError(
-                f"unknown witness_replay {witness_replay!r}; "
-                f"choose from {REPLAY_MODES}"
-            )
         if isinstance(witness_store, (str, bytes)) or hasattr(
             witness_store, "__fspath__"
         ):
             witness_store = WitnessStore(
-                str(witness_store),
-                replay_mode=witness_replay or "structural",
-                metrics=self.metrics,
+                str(witness_store), metrics=self.metrics
             )
-        elif witness_store is not None:
-            if witness_store.metrics is None:
-                # Adopt the engine's registry so engine.witness.* counters
-                # surface in stats() and the serve tier's /metrics.
-                witness_store.metrics = self.metrics
-            if witness_replay is not None:
-                witness_store.replay_mode = witness_replay
+        elif witness_store is not None and witness_store.metrics is None:
+            # Adopt the engine's registry so engine.witness.* counters
+            # surface in stats() and the serve tier's /metrics.
+            witness_store.metrics = self.metrics
         self.witness_store: Optional[WitnessStore] = witness_store
         self.pool = WorkerPool(
             workers=workers,

@@ -22,10 +22,10 @@ catalog → result cache → cross-pair scan):
 2. **Cross-pair scan** (:meth:`WitnessStore.replay`, after the exact
    probe) — one bounded candidate list: witnesses stored under the same
    LHS hash, then the same RHS hash (at most ``scan_limit`` together),
-   then, with ``replay_mode="structural"`` (the default), under the same
-   *predicate-signature pair* (:func:`omq_signature`; at most
-   ``scan_limit`` more).  Every candidate gets one check that evaluates
-   only the sides whose canonical hash differs from the stored pair's:
+   then under the same *predicate-signature pair* (:func:`omq_signature`;
+   at most ``scan_limit`` more).  Every candidate gets one check that
+   evaluates only the sides whose canonical hash differs from the stored
+   pair's:
 
    * ``c̄ ∈ Q1_cand(D)`` — stored fact when the LHS hash matches;
      otherwise a fresh evaluation, sound even when inexact (a truncated
@@ -77,13 +77,6 @@ from .store import ReadOnlyStore, SqliteStore, StoreBacked, StoreError
 #: per-side predicate-signature columns and the provenance column; a "1"
 #: store is discarded and rebuilt (the stamp contract), never replayed.
 WITNESS_SCHEMA_VERSION = "2"
-
-#: How a store answers :meth:`WitnessStore.lookup` and
-#: :meth:`WitnessStore.replay`:
-#: ``exact`` — the exact pair and the same-LHS/same-RHS candidates only;
-#: ``structural`` — also signature-keyed candidates;
-#: ``off`` — never replay (recording still works).
-REPLAY_MODES = ("exact", "structural", "off")
 
 _DDL = (
     "CREATE TABLE IF NOT EXISTS witnesses "
@@ -184,8 +177,6 @@ class WitnessStore(StoreBacked):
         after the exact-pair probe misses.  Bounds the inline work a
         submission can spend before falling through to the full
         decision procedure.
-    replay_mode:
-        One of :data:`REPLAY_MODES`; ``"structural"`` by default.
     replay_budget:
         Per-evaluation step cap for structural candidates' two fresh
         checks (``min``-ed with the job's own budgets).  A check the
@@ -202,20 +193,13 @@ class WitnessStore(StoreBacked):
         *,
         max_entries: int = 4096,
         scan_limit: int = 8,
-        replay_mode: str = "structural",
         replay_budget: int = 20_000,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"unknown replay_mode {replay_mode!r}; "
-                f"choose from {REPLAY_MODES}"
-            )
         self._lock = RLock()
         self.metrics = metrics
         self.max_entries = max(1, int(max_entries))
         self.scan_limit = max(0, int(scan_limit))
-        self.replay_mode = replay_mode
         self.replay_budget = max(1, int(replay_budget))
         #: (lhs, rhs) -> StoredWitness, insertion-ordered for eviction.
         self._records: "OrderedDict[Tuple[str, str], StoredWitness]" = (
@@ -403,10 +387,8 @@ class WitnessStore(StoreBacked):
 
     def _pair(self, job: Any) -> Optional[Tuple[str, str]]:
         """*job*'s canonical pair, or ``None`` when replay cannot apply."""
-        if (
-            self.replay_mode == "off"
-            or getattr(job, "kind", None) != "containment"
-            or not hasattr(job, "content_hashes")
+        if getattr(job, "kind", None) != "containment" or not hasattr(
+            job, "content_hashes"
         ):
             return None
         return job.content_hashes()
@@ -415,8 +397,7 @@ class WitnessStore(StoreBacked):
         """The exact-pair probe: a stored witness under exactly *job*'s
         canonical pair, as a NOT_CONTAINED result, with zero evaluations.
 
-        ``None`` on a miss, for non-containment jobs, and with
-        ``replay_mode="off"``.
+        ``None`` on a miss and for non-containment jobs.
         """
         pair = self._pair(job)
         if pair is None:
@@ -462,17 +443,15 @@ class WitnessStore(StoreBacked):
         Returns a NOT_CONTAINED result with the replayed witness attached,
         or ``None`` (a miss — including every anomaly: schema mismatch,
         evaluation failure, inexact negative evidence, blown replay
-        budget).  ``replay_mode="off"`` misses unconditionally.
+        budget).
         """
         hit = self.lookup(job)
         pair = self._pair(job)
         if hit is not None or pair is None:
             return hit
         h1, h2 = pair
-        lhs_sig = rhs_sig = ""
-        if self.replay_mode == "structural":
-            lhs_sig = omq_signature(getattr(job, "q1", None))
-            rhs_sig = omq_signature(getattr(job, "q2", None))
+        lhs_sig = omq_signature(getattr(job, "q1", None))
+        rhs_sig = omq_signature(getattr(job, "q2", None))
         with self._lock:
             self._maybe_reload_locked()
             candidates = self._candidates_locked(h1, h2, lhs_sig, rhs_sig)
@@ -692,7 +671,6 @@ class WitnessStore(StoreBacked):
                 "signature_keys": len(self._by_signature),
                 "max_entries": self.max_entries,
                 "scan_limit": self.scan_limit,
-                "replay_mode": self.replay_mode,
                 "replay_budget": self.replay_budget,
                 "persistent": self.persistent,
                 "generation": self._generation,

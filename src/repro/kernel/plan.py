@@ -52,8 +52,6 @@ class PlanCache:
         self.capacity = capacity
         self._plans: "OrderedDict[Tuple, Tuple[int, ...]]" = OrderedDict()
         self._lock = RLock()
-        self._hits = KERNEL_METRICS.counter("kernel.plan.hits")
-        self._misses = KERNEL_METRICS.counter("kernel.plan.misses")
         self._evictions = KERNEL_METRICS.counter("kernel.plan.evictions")
 
     def get(self, key: Tuple) -> Tuple[int, ...]:

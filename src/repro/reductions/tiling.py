@@ -16,7 +16,7 @@ instance-size independent, see DESIGN.md).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Tile = int
@@ -53,11 +53,6 @@ class TilingInstance:
     @property
     def side(self) -> int:
         return 2**self.n
-
-    def with_initial(self, initial: Sequence[Tile]) -> "TilingInstance":
-        return TilingInstance(
-            self.n, self.m, self.horizontal, self.vertical, tuple(initial)
-        )
 
 
 def solve_tiling(instance: TilingInstance) -> Optional[Dict[Cell, Tile]]:

@@ -12,14 +12,14 @@ Layering::
     protocol.py  the versioned JSON wire schema + tenant policies
     app.py       the router: job table, handlers, SSE, accounting
     server.py    lifecycle: bind, keep-alive loop, drain-on-SIGTERM
-    client.py    blocking + asyncio clients over the same protocol
+    client.py    a blocking client over the same protocol
 
 Start a replica with ``repro serve``; talk to it with
 ``repro submit --url`` or :class:`ServeClient`.
 """
 
 from .app import ServeApp
-from .client import AsyncServeClient, ServeClient, ServeError
+from .client import ServeClient, ServeError
 from .http import ProtocolError, Request, Response
 from .protocol import (
     PROTOCOL_VERSION,
@@ -31,7 +31,6 @@ from .protocol import (
 from .server import DEFAULT_PORT, ReproServer, ServeConfig, run
 
 __all__ = [
-    "AsyncServeClient",
     "DEFAULT_PORT",
     "JobSpec",
     "PROTOCOL_VERSION",

@@ -1,28 +1,21 @@
-"""Clients for the serving tier (stdlib only, like the server).
+"""The client for the serving tier (stdlib only, like the server).
 
-Two flavours over the same wire protocol:
-
-* :class:`ServeClient` — blocking, built on
-  :class:`http.client.HTTPConnection`.  This is what the CLI
-  (``repro submit --url``), the benchmark harness, and most tests use.
-* :class:`AsyncServeClient` — asyncio streams, for callers already
-  inside an event loop (e.g. load generators driving many concurrent
-  submissions).
-
-Both raise :class:`ServeError` on protocol-level errors (4xx/5xx with
-the server's ``{"error": {code, message}}`` body attached), keep one
-connection alive across calls, and expose the SSE stream of a job as an
-iterator of ``(event, document)`` pairs.
+:class:`ServeClient` is blocking, built on
+:class:`http.client.HTTPConnection`; the CLI (``repro submit --url``),
+the serving benchmark and the tests use it.  It raises
+:class:`ServeError` on protocol-level errors (4xx/5xx with the server's
+``{"error": {code, message}}`` body attached), keeps one connection
+alive across calls, and exposes the SSE stream of a job as an iterator
+of ``(event, document)`` pairs.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import socket
 import time
-from typing import Any, AsyncIterator, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import http as wire
 
@@ -152,20 +145,21 @@ class ServeClient:
     def cancel(self, job_id: str) -> dict:
         return self.request("DELETE", f"/v1/jobs/{job_id}")
 
-    def wait(
-        self, job_id: str, timeout: float = 60.0, poll_s: float = 0.05
-    ) -> dict:
-        """Poll until the job reports ``state: done`` (or raise on timeout)."""
+    def wait(self, job_id: str, timeout: float = 60.0) -> dict:
+        """The job's record once it is done: read off its SSE stream at
+        the ``result`` frame.  Raises :class:`TimeoutError` once
+        *timeout* seconds have passed in all — the server's heartbeat
+        frames keep the socket busy, so the check runs on every frame.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            doc = self.job(job_id)
-            if doc.get("state") == "done":
+        for event, doc in self.stream(job_id, timeout=timeout):
+            if event == "result":
                 return doc
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still pending after {timeout}s"
                 )
-            time.sleep(poll_s)
+        raise ServeError(0, "eof", f"stream of job {job_id} ended early")
 
     def run(self, doc: dict, timeout: float = 60.0) -> dict:
         """Submit and wait — the one-call convenience most callers want."""
@@ -244,112 +238,6 @@ class ServeClient:
                 if not chunk:
                     return
                 text += chunk.decode("utf-8")
-
-
-class AsyncServeClient:
-    """The same protocol over asyncio streams (one request per call)."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8718) -> None:
-        self.host = host
-        self.port = port
-
-    async def request(
-        self, method: str, path: str, doc: Optional[dict] = None
-    ) -> Any:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            body = (
-                json.dumps(doc).encode("utf-8") if doc is not None else b""
-            )
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}\r\n"
-                "Accept: application/json\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("ascii") + body)
-            await writer.drain()
-            raw = await reader.read()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        head_bytes, _, payload = raw.partition(b"\r\n\r\n")
-        status = int(head_bytes.split(None, 2)[1])
-        try:
-            decoded = json.loads(payload.decode("utf-8")) if payload else {}
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            decoded = {"raw": payload.decode("utf-8", "replace")}
-        _raise_for(status, decoded)
-        return decoded
-
-    async def submit(self, doc: dict) -> dict:
-        return await self.request("POST", "/v1/jobs", doc)
-
-    async def job(self, job_id: str) -> dict:
-        return await self.request("GET", f"/v1/jobs/{job_id}")
-
-    async def cancel(self, job_id: str) -> dict:
-        return await self.request("DELETE", f"/v1/jobs/{job_id}")
-
-    async def wait(
-        self, job_id: str, timeout: float = 60.0, poll_s: float = 0.05
-    ) -> dict:
-        deadline = time.monotonic() + timeout
-        while True:
-            doc = await self.job(job_id)
-            if doc.get("state") == "done":
-                return doc
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still pending after {timeout}s"
-                )
-            await asyncio.sleep(poll_s)
-
-    async def run(self, doc: dict, timeout: float = 60.0) -> dict:
-        record = await self.submit(doc)
-        if record.get("state") == "done":
-            return record
-        return await self.wait(record["id"], timeout=timeout)
-
-    async def stream(
-        self, job_id: str
-    ) -> AsyncIterator[Tuple[str, dict]]:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            request = (
-                f"GET /v1/jobs/{job_id}/stream HTTP/1.1\r\n"
-                f"Host: {self.host}\r\n"
-                "Accept: text/event-stream\r\n"
-                "Connection: close\r\n\r\n"
-            )
-            writer.write(request.encode("ascii"))
-            await writer.drain()
-            head = await reader.readuntil(b"\r\n\r\n")
-            status = int(head.split(None, 2)[1])
-            if status != 200:
-                raise ServeError(status, "stream", head.decode("latin-1"))
-            text = ""
-            while True:
-                chunk = await reader.read(4096)
-                if not chunk:
-                    return
-                text += chunk.decode("utf-8")
-                events, text = _parse_sse(text)
-                for event, doc in events:
-                    yield event, doc
-                    if event == "result":
-                        return
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 # Re-exported so callers can catch the server-side error type when

@@ -55,8 +55,6 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     catalog: Optional[str] = None
     witness_store: Optional[str] = None
-    #: Witness replay mode for the store: "exact", "structural", or "off".
-    witness_replay: str = "structural"
     tenants_file: Optional[str] = None
     deadline_floor_s: float = 0.25
     drain_grace_s: float = 5.0
@@ -78,9 +76,6 @@ class ServeConfig:
             task_timeout=self.task_timeout,
             catalog=self.catalog,
             witness_store=self.witness_store,
-            witness_replay=(
-                self.witness_replay if self.witness_store else None
-            ),
             deadline_policy=DeadlinePolicy(floor_s=self.deadline_floor_s),
             trace=(
                 None

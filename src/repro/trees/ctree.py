@@ -22,8 +22,8 @@ content of Lemma 22's bridge between databases and trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
@@ -180,14 +180,6 @@ class Alphabet:
     @property
     def all_names(self) -> Tuple[str, ...]:
         return self.core_names + self.transient_names
-
-    def symbol_count(self) -> int:
-        """|K_{S,l}|: the number of unary relations in the label schema."""
-        total = len(self.all_names) + len(self.core_names)
-        n = len(self.all_names)
-        for p in self.schema.predicates():
-            total += n ** self.schema.arity(p)
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,19 @@ class TestEngineIntegration:
             assert result.cached
             snap = engine.metrics.snapshot()
             assert snap.get("engine.catalog.short_circuits", 0) == 1
+        # Both directions in one batch: under rep keys the reverse
+        # coalesces onto the forward, and no procedure runs.
+        with BatchEngine(catalog=path) as engine:
+            results = engine.run_batch(
+                [ContainmentJob(q1, q2), ContainmentJob(q2, q1)]
+            )
+            assert {r.value.method for r in results} == {
+                "catalog-equivalence"
+            }
+            snap = engine.metrics.snapshot()
+            assert snap.get("engine.catalog.short_circuits", 0) == 1
+            assert snap.get("engine.dedup.coalesced", 0) == 1
+            assert snap.get("engine.containment.runs", 0) == 0
 
     def test_catalog_rewrites_cache_keys_to_reps(self, tmp_path):
         """A cached verdict for Q1 ⊆ Q3 is served for Q2 ⊆ Q3 once

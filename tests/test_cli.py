@@ -204,6 +204,82 @@ class TestJSONOutput:
         assert warm["verdict"] == cold["verdict"] == "contained"
 
 
+#: Two derived hops, then 28 data hops: 30 atoms, so XRewrite's atom cap
+#: (20 × budget) binds long before its query budget at ``--budget 5``.
+LONG_PATH_OMQ = (
+    "schema: E/2\nrules:\n    E(x, y) -> A(x, y)\nquery: q() :- "
+    + ", ".join(
+        f"{'A' if i < 2 else 'E'}(x{i}, x{i + 1})" for i in range(30)
+    )
+    + "\n"
+)
+#: The same 30 hops over the data relation alone.
+LONG_E_PATH_OMQ = (
+    "schema: E/2\nquery: q() :- "
+    + ", ".join(f"E(x{i}, x{i + 1})" for i in range(30))
+    + "\n"
+)
+
+
+class TestOneRunPath:
+    """``contains`` and ``rewrite`` run one job object whether or not an
+    engine flag routes it through a BatchEngine, so both paths give one
+    answer."""
+
+    @pytest.mark.parametrize("command", ["rewrite", "contains"])
+    def test_engine_flags_change_no_answer(self, command, tmp_path, capsys):
+        q = tmp_path / "q.omq"
+        q.write_text(LONG_PATH_OMQ)
+        e = tmp_path / "e.omq"
+        e.write_text(LONG_E_PATH_OMQ)
+        operands = [str(q)] if command == "rewrite" else [str(q), str(e)]
+        argv = [command, *operands, "--budget", "5", "--json"]
+
+        direct_code = main(argv)
+        direct = json.loads(capsys.readouterr().out)
+        engine_code = main(argv + ["--cache-dir", str(tmp_path / "cache")])
+        routed = json.loads(capsys.readouterr().out)
+        assert routed.pop("cached") is False
+        assert "cached" not in direct
+        assert routed == direct
+        assert engine_code == direct_code
+
+
+class TestServeFlags:
+    def test_benchmark_replica_argv(self, tmp_path, monkeypatch):
+        """The benchmark boots its replica through these exact flags."""
+        import logging
+        from pathlib import Path
+
+        import repro.serve.server as server
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.serve import TASK_TIMEOUT_S, Replica
+
+        tiers = tmp_path / "tiers"
+        for workers, traced in ((1, False), (2, True)):
+            argv = Replica(tmp_path, tiers, workers, traced).argv()
+            configs = []
+            monkeypatch.setattr(server, "run", configs.append)
+            monkeypatch.setattr(logging, "basicConfig", lambda **kw: None)
+            main(argv[argv.index("serve"):])
+            (config,) = configs
+            assert config.port == 0
+            assert config.drain_grace_s == 2.0
+            assert config.cache_dir == str(tiers / "cache")
+            assert config.catalog == str(tiers / "catalog.sqlite")
+            assert config.witness_store == str(tiers / "witnesses.sqlite")
+            assert config.workers == workers
+            if workers > 1:
+                assert config.task_timeout == TASK_TIMEOUT_S
+            else:
+                assert config.task_timeout is None
+            if traced:
+                assert (config.trace_mode, config.max_traces) == ("always", 64)
+            else:
+                assert (config.trace_mode, config.max_traces) == ("off", 512)
+
+
 class TestBatchCommand:
     @pytest.fixture
     def batch_file(self, files, tmp_path):

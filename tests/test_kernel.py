@@ -330,23 +330,12 @@ class TestInstanceMemos:
         first = inst.by_predicate()
         assert inst.by_predicate() is first
 
-    def test_by_position_contents(self):
-        inst = Instance.of(
-            [fact("R", "a", "b"), fact("R", "a", "c"), fact("R", "b", "c")]
-        )
-        index = inst.by_position()
-        assert index[("R", 0, a)] == (fact("R", "a", "b"), fact("R", "a", "c"))
-        assert index[("R", 1, c)] == (fact("R", "a", "c"), fact("R", "b", "c"))
-        assert inst.by_position() is index
-
     def test_pickle_drops_memos(self):
         inst = Instance.of([fact("R", "a", "b")])
         inst.by_predicate()
-        inst.by_position()
         clone = pickle.loads(pickle.dumps(inst))
         assert clone == inst
         assert "_by_predicate_memo" not in clone.__dict__
-        assert "_by_position_memo" not in clone.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +470,6 @@ class TestBudgets:
         assert jobs[0].chase_max_steps == 123
         assert jobs[0].chase_max_depth == 4
         assert "d=4" in jobs[0].cache_key()
-
-    def test_cli_rewrite_accepts_budget_flags(self, tmp_path, capsys):
-        from repro.cli import main
-
-        q = tmp_path / "q.omq"
-        q.write_text(DIVERGING_OMQ, encoding="utf-8")
-        code = main(["rewrite", str(q), "--max-steps", "5", "--json"])
-        capsys.readouterr()
-        assert code == 0
 
 
 class TestChaseFuzzParity:

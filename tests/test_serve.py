@@ -329,6 +329,26 @@ class TestLiveServer:
                 assert final["state"] == "done"
                 assert final["result"] == {"payload": "done!"}
 
+    def test_wait_returns_the_result_frame_and_times_out_in_total(self):
+        """``wait`` reads the job's SSE stream; heartbeats keep arriving,
+        yet it gives up once *timeout* seconds have passed in all."""
+        with _Replica(allow_test_jobs=True) as replica:
+            with replica.client() as client:
+                quick = client.submit(
+                    {"kind": "sleep", "seconds": 0.1, "tenant": "t",
+                     "payload": "ok"}
+                )
+                done = client.wait(quick["id"], timeout=30)
+                assert done["state"] == "done"
+                assert done["result"] == {"payload": "ok"}
+                slow = client.submit(
+                    {"kind": "sleep", "seconds": 2.0, "tenant": "t"}
+                )
+                started = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.wait(slow["id"], timeout=0.5)
+                assert time.monotonic() - started < 1.5
+
     def test_metrics_json_and_prometheus(self):
         with _Replica() as replica, replica.client() as client:
             client.run(containment_doc(OMQ_A, OMQ_A2, tenant="acme"))

@@ -7,7 +7,7 @@ iff ``c̄ ∈ p1(D)`` (membership — sound even from an under-approximating
 evaluation) and ``c̄ ∉ p2(D)`` *exactly*.  This suite is the harness the
 index ships inside:
 
-* a differential parity sweep — structural-replay-on vs replay-off
+* a differential parity sweep — replayed verdicts vs the procedure's own
   verdicts over perturbed-pair draws in every fragment, SIGALRM-capped
   per case like ``test_differential.py``, zero disagreements tolerated;
 * hypothesis property tests that replay only ever fires when the two
@@ -16,8 +16,9 @@ index ships inside:
 * regression pins extending PR 8's: UNKNOWNs never enter the signature
   index, and a schema-version-mismatched store degrades to miss without
   attempting a structural replay;
-* the CLI/engine knobs: ``--witness-replay {exact,structural,off}`` and
-  the streaming ``repro witnesses --limit`` listing.
+* the CLI: structural replay through ``repro contains
+  --witness-store`` and the streaming ``repro witnesses --limit``
+  listing.
 """
 
 import contextlib
@@ -40,11 +41,7 @@ from repro.core.terms import Constant
 from repro.engine import BatchEngine, ContainmentJob
 from repro.engine.canon import hash_omq
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.witness_store import (
-    REPLAY_MODES,
-    WitnessStore,
-    omq_signature,
-)
+from repro.engine.witness_store import WitnessStore, omq_signature
 from repro.evaluation import evaluate_omq
 from repro.generators.random_omqs import (
     FRAGMENTS,
@@ -150,13 +147,13 @@ class TestSignatureKeys:
 
 
 class TestStructuralReplay:
-    def _primed_store(self, **kwargs):
+    def _primed_store(self):
         """A store holding the (short ⊄ long) witness, signature-keyed."""
         short, long = _path_omq(SHORT), _path_omq(LONG)
         verdict = contains(short, long)
         assert verdict.verdict is Verdict.NOT_CONTAINED
         metrics = MetricsRegistry()
-        store = WitnessStore(metrics=metrics, **kwargs)
+        store = WitnessStore(metrics=metrics)
         store.record(
             hash_omq(short),
             hash_omq(long),
@@ -197,29 +194,6 @@ class TestStructuralReplay:
         assert snap["engine.witness.structural.refuted_replays"] == 1
         assert snap.get("engine.witness.structural.hits", 0) == 0
         store.close()
-
-    def test_exact_mode_never_replays_structurally(self):
-        store, metrics = self._primed_store(replay_mode="exact")
-        job = ContainmentJob(_path_omq(P_SHORT), _path_omq(P_LONG))
-        assert store.replay(job) is None
-        assert (
-            metrics.snapshot().get("engine.witness.structural.attempts", 0)
-            == 0
-        )
-        store.close()
-
-    def test_off_mode_never_replays_at_all(self):
-        store, _ = self._primed_store(replay_mode="off")
-        short, long = _path_omq(SHORT), _path_omq(LONG)
-        assert store.replay(ContainmentJob(short, long)) is None
-        store.close()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            WitnessStore(replay_mode="sometimes")
-        with pytest.raises(ValueError):
-            BatchEngine(witness_replay="sometimes")
-        assert set(REPLAY_MODES) == {"exact", "structural", "off"}
 
     def test_blown_replay_budget_degrades_to_miss(self):
         """A replay_budget the chase cannot finish under makes the RHS
@@ -266,12 +240,6 @@ class TestStructuralReplay:
             assert snap["engine.witness.structural.hits"] == 1
             assert snap.get("engine.witness.exact_hits", 0) == 0
             assert snap.get("engine.containment.runs", 0) == 0
-        # Engine-level override: replay off leaves the pair to the full
-        # procedure even though the store could answer it.
-        with BatchEngine(witness_store=path, witness_replay="off") as off:
-            result = off.contains(pshort, plong)
-            assert result.value.verdict is Verdict.NOT_CONTAINED
-            assert result.value.method != "witness-replay"
 
 
 class TestNecessaryTest:
@@ -667,7 +635,7 @@ class TestCLI:
         conn.close()
         assert value == "antique"
 
-    def test_contains_witness_replay_flag(self, tmp_path, capsys):
+    def test_contains_replays_structurally(self, tmp_path, capsys):
         from repro.cli import main
 
         store = str(tmp_path / "w.sqlite")
@@ -677,11 +645,6 @@ class TestCLI:
             ("long", LONG),
             ("pshort", P_SHORT),
             ("plong", P_LONG),
-            # A second, distinct perturbation: the exact-mode run below
-            # records (pshort, plong), so the structural probe needs a
-            # pair hash-equal to nothing already in the store.
-            ("pshort2", SHORT + ", E(s, t), E(g, h)"),
-            ("plong2", LONG + ", E(s, t), E(g, h)"),
         ):
             f = tmp_path / f"{name}.omq"
             f.write_text(f"schema: E/2\nquery: q() :- {body}\n")
@@ -690,37 +653,10 @@ class TestCLI:
                 "--witness-store", store, "--json"]
         assert main(base) == 1  # exit 1 = not contained, populates store
         capsys.readouterr()
+        # A non-hash-equal spelling replays from the signature index.
         perturbed = ["contains", files["pshort"], files["plong"],
                      "--witness-store", store, "--json"]
-        # exact mode: non-hash-equal pair must run the full procedure.
-        assert main(perturbed + ["--witness-replay", "exact"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] != "witness-replay"
-        # structural (default): replayed from the signature index.
-        perturbed2 = ["contains", files["pshort2"], files["plong2"],
-                      "--witness-store", store, "--json"]
-        assert main(perturbed2) == 1
+        assert main(perturbed) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "witness-replay"
         assert "structural" in doc["detail"]
-        # off: even the exact pair is re-decided.
-        assert main(base + ["--witness-replay", "off"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] != "witness-replay"
-
-    def test_serve_config_witness_replay_passthrough(self, tmp_path):
-        from repro.serve.server import ServeConfig
-
-        path = self._populate(tmp_path, self._distinct_pairs(1))
-        config = ServeConfig(witness_store=path, witness_replay="exact")
-        engine = config.build_engine()
-        try:
-            assert engine.witness_store.replay_mode == "exact"
-        finally:
-            engine.close()
-        config = ServeConfig(witness_store=path)
-        engine = config.build_engine()
-        try:
-            assert engine.witness_store.replay_mode == "structural"
-        finally:
-            engine.close()
