@@ -29,6 +29,11 @@ Commands:
 * ``serve``                      — containment-as-a-service HTTP server
 * ``submit OMQ1 OMQ2``           — send a containment job to a server
 
+A malformed input file, in any command, is one ``error: …`` line on
+stderr and exit code 3; so is a ``contains`` pair over different data
+schemas or of different arities.  ``contains`` otherwise exits 0
+(contained), 1 (not contained) or 2 (unknown).
+
 Flags that several commands share are declared once each, as argparse
 parent parsers:
 
@@ -98,7 +103,7 @@ from typing import Any, Dict, List, Optional
 
 from .applications import distributes_over_components, is_ucq_rewritable
 from .containment import ContainmentResult, Verdict
-from .core.parser import parse_database, parse_omq, parse_tgds
+from .core.parser import ParseError, parse_database, parse_omq, parse_tgds
 from .core.serialize import containment_result_to_json, omq_to_document
 from .core.terms import Constant
 from .evaluation import evaluate_omq
@@ -250,11 +255,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_contains(args) -> int:
+    from .containment.small_witness import check_same_data_schema
     from .engine import ContainmentJob
 
+    q1 = parse_omq(_read(args.omq1), name="Q1")
+    q2 = parse_omq(_read(args.omq2), name="Q2")
+    try:
+        # Checked here, so the engine path does not report it as UNKNOWN.
+        check_same_data_schema(q1, q2)
+    except ValueError as exc:
+        return _input_error(exc)
     job = ContainmentJob(
-        parse_omq(_read(args.omq1), name="Q1"),
-        parse_omq(_read(args.omq2), name="Q2"),
+        q1,
+        q2,
         rewriting_budget=args.budget,
         chase_max_steps=args.max_steps,
         chase_max_depth=args.max_depth,
@@ -836,6 +849,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(
         "contains", ("engine", "chase", "trace", "json"),
         help="decide Q1 ⊆ Q2",
+        epilog="exit codes: 0 contained, 1 not contained, 2 unknown, "
+        "3 input error (a malformed OMQ file, or OMQs over different data "
+        "schemas or of different arities)",
     )
     p.add_argument("omq1")
     p.add_argument("omq2")
@@ -1030,10 +1046,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(exc: Exception) -> int:
+    """Report bad input as one stderr line; exit 3, never a verdict's code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 3
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        return _input_error(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

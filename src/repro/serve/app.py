@@ -42,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import threading
-import time
 import uuid
 from dataclasses import dataclass
 from typing import Any, AsyncIterator, Dict, Optional
@@ -56,7 +55,6 @@ from .http import ProtocolError, Request, Response, sse_event
 from .protocol import (
     ERR_METHOD,
     ERR_NOT_FOUND,
-    JobSpec,
     TenantTable,
     envelope,
     latency_to_json,
@@ -65,15 +63,21 @@ from .protocol import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
-    """One accepted submission: its id, envelope, and live handle."""
+    """One accepted submission: its id, its JSON document, its handle.
+
+    While the job is pending, ``doc`` is its header and ``handle`` the
+    live :class:`~repro.engine.scheduler.JobHandle`.  When the handle
+    resolves, the done callback renders the final document once, stores
+    it as ``doc`` and sets ``handle`` to ``None``: a finished record keeps
+    its answer and nothing else (not the parsed OMQs, the engine job, its
+    result or its trace).
+    """
 
     id: str
-    spec: JobSpec
-    handle: JobHandle
-    submitted_at: float
-    deadline_ms: Optional[int]
+    doc: Dict[str, Any]
+    handle: Optional[JobHandle]
 
 
 class ServeApp:
@@ -96,9 +100,11 @@ class ServeApp:
         self.max_jobs = max_jobs
         self.draining = False
         self._lock = threading.Lock()
+        # Insertion-ordered, so the oldest record comes first.
         self._jobs: Dict[str, JobRecord] = {}
+        # id(handle) -> job id, for unresolved handles only: a coalesced
+        # submission reads its primary's job id here once, at submit time.
         self._job_of_handle: Dict[int, str] = {}
-        self._order: list = []
         self._seq = itertools.count(1)
         self._instance = uuid.uuid4().hex[:8]
         # Latency histograms are keyed by (tenant, kind) tuple here —
@@ -128,19 +134,16 @@ class ServeApp:
         with self._lock:
             self._jobs[record.id] = record
             self._job_of_handle[id(record.handle)] = record.id
-            self._order.append(record.id)
-            # Bounded memory: retire the oldest *finished* records once
-            # over budget (live handles are never evicted).
-            while len(self._jobs) > self.max_jobs:
-                for i, job_id in enumerate(self._order):
-                    old = self._jobs.get(job_id)
-                    if old is not None and old.handle.done():
-                        del self._order[i]
-                        del self._jobs[job_id]
-                        self._job_of_handle.pop(id(old.handle), None)
-                        break
-                else:
-                    break
+            # Bounded memory: past max_jobs, retire the oldest *finished*
+            # records (a pending record is never evicted).
+            excess = len(self._jobs) - self.max_jobs
+            if excess > 0:
+                finished = (
+                    job_id for job_id, old in self._jobs.items()
+                    if old.handle is None
+                )
+                for job_id in list(itertools.islice(finished, excess)):
+                    del self._jobs[job_id]
 
     def get_job(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
@@ -173,22 +176,49 @@ class ServeApp:
             submitter=tenant,
             deadline=deadline_ms / 1000.0 if deadline_ms else None,
         )
-        record = JobRecord(
-            id=self._new_job_id(),
-            spec=spec,
-            handle=handle,
-            submitted_at=time.time(),
-            deadline_ms=deadline_ms,
-        )
+        header: Dict[str, Any] = {
+            "id": self._new_job_id(),
+            "tenant": tenant,
+            "kind": getattr(spec.job, "kind", "?"),
+            "label": spec.label,
+            "state": "pending",
+            "deadline_ms": deadline_ms,
+        }
+        # Read now: the primary's entry leaves the table when it resolves.
+        primary = self._job_id_of_handle(handle.coalesced_onto)
+        if primary is not None:
+            header["coalesced_onto"] = primary
+        record = JobRecord(id=header["id"], doc=header, handle=handle)
         self._remember(record)
         handle.add_done_callback(
-            lambda h, record=record: self._account_done(record, h)
+            lambda h, record=record: self._finish(record, h)
         )
         return record
 
-    def _account_done(self, record: JobRecord, handle: JobHandle) -> None:
+    @staticmethod
+    def _final_doc(header: Dict[str, Any], handle: JobHandle) -> dict:
         result = handle.result(0)
-        tenant = record.spec.tenant
+        return {
+            **header,
+            "state": "done",
+            "cached": result.cached,
+            "coalesced": result.coalesced,
+            "error": result.error,
+            "duration_ms": round(result.duration * 1000.0, 3),
+            "result": result_to_json(handle.job, result.value),
+        }
+
+    def _finish(self, record: JobRecord, handle: JobHandle) -> None:
+        """The done callback: store the final document, drop the handle,
+        then count the outcome."""
+        doc = self._final_doc(record.doc, handle)
+        with self._lock:
+            # ``doc`` first: a reader that finds no handle finds it.
+            record.doc = doc
+            record.handle = None
+            self._job_of_handle.pop(id(handle), None)
+        result = handle.result(0)
+        tenant = doc["tenant"]
         if result.error == CANCELLED:
             event = "cancelled"
         elif result.error == DEADLINE:
@@ -202,13 +232,13 @@ class ServeApp:
         else:
             event = "completed"
         self._tenant_counter(tenant, event).inc()
-        kind = getattr(record.spec.job, "kind", "?")
-        key = (tenant, kind)
+        key = (tenant, doc["kind"])
         with self._lock:
             hist = self._latency.get(key)
             if hist is None:
                 hist = self._latency[key] = self.metrics.histogram(
-                    f"serve.latency.{tenant}.{kind}", buckets=LATENCY_BUCKETS
+                    f"serve.latency.{tenant}.{doc['kind']}",
+                    buckets=LATENCY_BUCKETS,
                 )
         trace = result.trace
         hist.observe(
@@ -220,26 +250,13 @@ class ServeApp:
                 self._profile.add_root(trace)
 
     def job_to_json(self, record: JobRecord) -> dict:
+        """The job's document: the stored one, or — when its handle has
+        resolved but the done callback has not stored the final document
+        yet — a copy of that document rendered for this read."""
         handle = record.handle
-        out: Dict[str, Any] = {
-            "id": record.id,
-            "tenant": record.spec.tenant,
-            "kind": getattr(record.spec.job, "kind", "?"),
-            "label": record.spec.label,
-            "state": "done" if handle.done() else "pending",
-            "deadline_ms": record.deadline_ms,
-        }
-        primary = self._job_id_of_handle(handle.coalesced_onto)
-        if primary is not None:
-            out["coalesced_onto"] = primary
-        if handle.done():
-            result = handle.result(0)
-            out["cached"] = result.cached
-            out["coalesced"] = result.coalesced
-            out["error"] = result.error
-            out["duration_ms"] = round(result.duration * 1000.0, 3)
-            out["result"] = result_to_json(record.spec.job, result.value)
-        return out
+        if handle is not None and handle.done():
+            return self._final_doc(record.doc, handle)
+        return record.doc
 
     # -- routing -----------------------------------------------------------
 
@@ -313,14 +330,15 @@ class ServeApp:
     # -- handlers ----------------------------------------------------------
 
     def _submit_response(self, record: JobRecord) -> Response:
-        doc = envelope(self.job_to_json(record))
-        # A submission already resolved when this reads ``done()``
+        doc = self.job_to_json(record)
+        # A submission already resolved when this reads its document
         # answers 200 with the result inline; anything still in flight
         # is a 202.  That covers the tier ladder (witness store, catalog,
         # cache) and deadline degrades, but also a pool job that finished
         # first — a race between inline and SSE answers that ROADMAP
         # item 4 replaces with a bounded wait.
-        return Response.json(doc, status=200 if record.handle.done() else 202)
+        status = 200 if doc["state"] == "done" else 202
+        return Response.json(envelope(doc), status=status)
 
     def _batch(self, request: Request) -> Response:
         doc = request.json()
@@ -330,13 +348,15 @@ class ServeApp:
                 400, "bad_field", "field 'jobs' must be a non-empty array"
             )
         records = [self.submit(entry) for entry in jobs]
+        docs = [self.job_to_json(r) for r in records]
         return Response.json(
-            envelope({"jobs": [self.job_to_json(r) for r in records]}),
-            status=202 if any(not r.handle.done() for r in records) else 200,
+            envelope({"jobs": docs}),
+            status=202 if any(d["state"] != "done" for d in docs) else 200,
         )
 
     def _cancel(self, record: JobRecord) -> Response:
-        cancelled = record.handle.cancel()
+        handle = record.handle
+        cancelled = handle is not None and handle.cancel()
         if cancelled:
             self.metrics.counter("serve.cancelled").inc()
         doc: Dict[str, Any] = {
@@ -344,7 +364,7 @@ class ServeApp:
             "cancelled": cancelled,
             "state": "done",
         }
-        survivor = self._job_id_of_handle(record.handle.coalesced_onto)
+        survivor = record.doc.get("coalesced_onto")
         if survivor is not None:
             # The computation this handle rode on keeps running for its
             # primary submitter; report who that is.
@@ -446,7 +466,7 @@ class ServeApp:
         terminal ``result`` frame."""
         yield sse_event("status", envelope(self.job_to_json(record)))
         handle = record.handle
-        if not handle.done():
+        if handle is not None and not handle.done():
             loop = asyncio.get_running_loop()
             done = loop.create_future()
 

@@ -245,6 +245,59 @@ class TestOneRunPath:
         assert engine_code == direct_code
 
 
+class TestInputErrors:
+    """Bad input exits 3 with one ``error:`` line, never a verdict's code
+    (0 contained, 1 not contained, 2 unknown), on either run path."""
+
+    @pytest.mark.parametrize("engine", [False, True], ids=["direct", "engine"])
+    def test_different_data_schemas(self, engine, files, tmp_path, capsys):
+        other = tmp_path / "other.omq"
+        other.write_text("schema: E/2\nquery: q(x) :- E(x, y)\n")
+        argv = ["contains", files["q1"], str(other), "--json"]
+        if engine:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: OMQs have different data schemas: "
+            "{P/1, T/1} vs {E/2}\n"
+        )
+
+    def test_different_arities(self, files, tmp_path, capsys):
+        boolean = tmp_path / "boolean.omq"
+        boolean.write_text("schema: P/1, T/1\nquery: q() :- T(x)\n")
+        assert main(["contains", files["q1"], str(boolean)]) == 3
+        assert capsys.readouterr().err == (
+            "error: OMQs have different arities: 1 vs 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [["contains", "BAD", "Q1"], ["contains", "Q1", "BAD", "--workers", "2"],
+         ["rewrite", "BAD"], ["classify", "BAD"]],
+        ids=["contains", "contains-engine", "rewrite", "classify"],
+    )
+    def test_parse_error_in_any_input(self, command, files, tmp_path, capsys):
+        bad = tmp_path / "bad.omq"
+        bad.write_text("schema: P/1\nquery: q(x) :- P(x\n")
+        paths = {"BAD": str(bad), "Q1": files["q1"]}
+        assert main([paths.get(arg, arg) for arg in command]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_help_lists_exit_codes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["contains", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert (
+            "exit codes: 0 contained, 1 not contained, 2 unknown, "
+            "3 input error"
+        ) in text
+
+
 class TestServeFlags:
     def test_benchmark_replica_argv(self, tmp_path, monkeypatch):
         """The benchmark boots its replica through these exact flags."""

@@ -7,10 +7,14 @@ Three layers of coverage mirroring the module layering:
   :class:`repro.serve.ServeClient` — submissions, coalescing across
   tenants, deadline degradation, cancellation, SSE, metrics formats,
   malformed-request handling, concurrent clients;
+* the job table, transport-free (:class:`repro.serve.app.ServeApp` fed
+  :class:`repro.serve.http.Request` objects) — what a finished job
+  keeps, and the ``max_jobs`` bound;
 * a real subprocess (``python -m repro serve``) for the SIGTERM drain.
 """
 
 import asyncio
+import gc
 import json
 import os
 import re
@@ -20,9 +24,11 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
+import repro
 from repro.engine import BatchEngine
 from repro.serve import (
     PROTOCOL_VERSION,
@@ -34,6 +40,9 @@ from repro.serve import (
     TenantTable,
     parse_job_spec,
 )
+from repro.serve import app as app_module
+from repro.serve.app import ServeApp
+from repro.serve.http import Request
 
 # Two α-equivalent spellings of one containment question (variables
 # renamed, body reordered) plus a structurally different third query.
@@ -233,6 +242,8 @@ class TestLiveServer:
                     done1["result"]["verdict"] == done2["result"]["verdict"]
                 )
                 assert done2["coalesced"] is True
+                # The rider's final document still names its primary.
+                assert done2["coalesced_onto"] == first["id"]
                 snapshot = client.metrics()["metrics"]
                 assert snapshot["engine.containment.runs"] == 1
                 assert (
@@ -576,6 +587,165 @@ class TestLiveServer:
                 v in ("contained", "not-contained", "unknown")
                 for v in results
             )
+
+
+# ---------------------------------------------------------------------------
+# The job table, without a socket
+# ---------------------------------------------------------------------------
+
+
+def _call(app, method: str, path: str, doc=None):
+    """One request through ``ServeApp.handle_request``: (status, body)."""
+    body = json.dumps(doc).encode("utf-8") if doc is not None else b""
+    request = Request(method, path, {}, {}, body)
+    response = asyncio.run(app.handle_request(request))
+    if response.stream is None:
+        return response.status, json.loads(response.body)
+
+    async def frames():
+        return [frame async for frame in response.stream]
+
+    return response.status, b"".join(asyncio.run(frames()))
+
+
+def _wait_done(app, job_id: str, timeout: float = 30.0) -> dict:
+    deadline = time.monotonic() + timeout
+    while True:
+        status, doc = _call(app, "GET", f"/v1/jobs/{job_id}")
+        assert status == 200
+        if doc["state"] == "done":
+            return doc
+        assert time.monotonic() < deadline, f"{job_id} still pending"
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def serve_app():
+    engine = BatchEngine(workers=1)
+    apps = []
+
+    def make(**kwargs):
+        app = ServeApp(engine, allow_test_jobs=True, **kwargs)
+        apps.append(app)
+        return app
+
+    try:
+        yield make
+    finally:
+        for app in apps:  # let no job outlive the engine
+            for job_id in list(app._jobs):
+                _wait_done(app, job_id)
+        engine.close()
+
+
+class TestJobTable:
+    def test_finished_job_keeps_no_parsed_omq(self, serve_app, monkeypatch):
+        """Once a job finishes, the table keeps its answer, not its
+        parsed OMQs — whether a worker ran it or a tier answered it."""
+        app = serve_app()
+        parsed = []
+        parse = app_module.parse_job_spec
+
+        def parse_and_keep(*args, **kwargs):
+            spec = parse(*args, **kwargs)
+            parsed.append(spec)
+            return spec
+
+        monkeypatch.setattr(app_module, "parse_job_spec", parse_and_keep)
+        _, fresh = _call(
+            app, "POST", "/v1/jobs", containment_doc(OMQ_A, OMQ_B)
+        )
+        _wait_done(app, fresh["id"])
+        # The α-renamed copy answers from the result cache, inline.
+        status, cached = _call(
+            app, "POST", "/v1/jobs", containment_doc(OMQ_A2, OMQ_B)
+        )
+        assert (status, cached["cached"]) == (200, True)
+        # One more pool job: the in-process coordinator holds its last
+        # ticket until the next one arrives.
+        _, plug = _call(app, "POST", "/v1/jobs", {"kind": "sleep", "seconds": 0})
+        _wait_done(app, plug["id"])
+        refs = [weakref.ref(spec.job.q1) for spec in parsed[:2]]
+        parsed.clear()
+        # In-process decisions also fill the library's own bounded memos.
+        repro.clear_caches()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        # ...and every answer about the jobs is still there.
+        status, doc = _call(app, "GET", f"/v1/jobs/{fresh['id']}")
+        assert status == 200
+        assert doc["result"]["verdict"] == cached["result"]["verdict"]
+
+    def test_finished_document_is_rendered_once(self, serve_app, monkeypatch):
+        app = serve_app()
+        renders = []
+        render = app_module.result_to_json
+
+        def counting(job, value):
+            renders.append(job)
+            return render(job, value)
+
+        monkeypatch.setattr(app_module, "result_to_json", counting)
+        _, record = _call(
+            app, "POST", "/v1/jobs", {"kind": "sleep", "seconds": 0.05}
+        )
+        final = _wait_done(app, record["id"])
+        path = f"/v1/jobs/{record['id']}"
+        for _ in range(3):
+            assert _call(app, "GET", path) == (200, final)
+        _, stream = _call(app, "GET", path + "/stream")
+        assert stream.count(b"event: result") == 1
+        assert _call(app, "DELETE", path)[1]["cancelled"] is False
+        assert len(renders) == 1
+
+    def test_oldest_finished_record_is_evicted_first(self, serve_app):
+        app = serve_app(max_jobs=3)
+        # A plug on the single worker, then a job queued behind it: both
+        # stay pending while the table overflows.
+        _, plug = _call(app, "POST", "/v1/jobs", {"kind": "sleep", "seconds": 0.5})
+        _, queued = _call(app, "POST", "/v1/jobs", {"kind": "sleep", "seconds": 0})
+        finished = []
+        for _ in range(4):
+            # A deadline below the scheduler's floor answers inline.
+            status, doc = _call(
+                app, "POST", "/v1/jobs",
+                containment_doc(OMQ_A, OMQ_B, deadline_ms=50),
+            )
+            assert (status, doc["state"]) == (200, "done")
+            finished.append(doc["id"])
+        # Over the bound by one per submission: each evicts the oldest
+        # finished record and skips the two pending ones.
+        assert list(app._jobs) == [plug["id"], queued["id"], finished[-1]]
+        for job_id in (plug["id"], queued["id"]):
+            status, doc = _call(app, "GET", f"/v1/jobs/{job_id}")
+            assert (status, doc["state"]) == (200, "pending")
+        # Finished, the two plugs go first: the newest record survives.
+        _wait_done(app, plug["id"])
+        _wait_done(app, queued["id"])
+        _, doc = _call(
+            app, "POST", "/v1/jobs",
+            containment_doc(OMQ_A, OMQ_B, deadline_ms=50),
+        )
+        assert list(app._jobs) == [queued["id"], finished[-1], doc["id"]]
+
+    def test_evicted_id_is_unknown_everywhere(self, serve_app):
+        app = serve_app(max_jobs=1)
+        _, first = _call(
+            app, "POST", "/v1/jobs",
+            containment_doc(OMQ_A, OMQ_B, deadline_ms=50),
+        )
+        _call(
+            app, "POST", "/v1/jobs",
+            containment_doc(OMQ_A, OMQ_B, deadline_ms=50),
+        )
+        path = f"/v1/jobs/{first['id']}"
+        for method, route in (
+            ("GET", path), ("GET", path + "/stream"), ("DELETE", path),
+        ):
+            status, doc = _call(app, method, route)
+            assert status == 404
+            assert doc["error"]["code"] == "not_found"
+            assert doc["error"]["message"] == f"unknown job {first['id']!r}"
 
 
 # ---------------------------------------------------------------------------
